@@ -590,8 +590,9 @@ def stratified_sample(
         if want == 0:
             continue
         pool = list(rows)
-        for i in range(want):
-            j = i + rng.below(len(pool) - i)
+        picks = rng.below_each(np.arange(len(pool), len(pool) - want, -1))
+        for i, pick in enumerate(picks):
+            j = i + pick
             pool[i], pool[j] = pool[j], pool[i]
         chosen.extend(pool[:want])
     if not chosen:

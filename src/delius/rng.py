@@ -1,16 +1,39 @@
 """Deterministic random number generation.
 
 The stream is xoshiro256++ with its four state words seeded from
-splitmix64, implemented on Python integers so a given seed produces the
-same sequence of 64-bit words on every platform.  Every stochastic
-choice in the package (weight initialisation, epoch shuffles, restart
-seeds, sampling, layout initialisation) draws from one of these
-generators, which is what makes whole pipeline runs reproducible from a
-single seed.
+splitmix64, so a given seed produces the same sequence of 64-bit words
+on every platform.  Every stochastic choice in the package (weight
+initialisation, epoch shuffles, restart seeds, sampling, layout
+initialisation) draws from one of these generators, which is what makes
+whole pipeline runs reproducible from a single seed.
+
+Large blocks of words come from many lanes of the same generator stepping
+together as numpy ``uint64`` arrays.  The words are exactly the words of
+the one stream, in stream order, and the generator is left in exactly
+the state that ``n`` calls of ``next_u64`` leave, so the stream, every
+draw built on it and every artifact are the same as with a word-by-word
+loop.  The xoshiro256++ state update is linear over GF(2), so advancing
+a state by ``m`` steps is a product with the ``m``-th power of its
+256x256 bit transition matrix (Haramoto et al., "Efficient jump ahead
+for F2-linear random number generators", INFORMS J. Computing 20(3),
+2008).  Lane ``i`` of a block with lane length ``L`` (a power of two)
+starts at word ``i*L``: its state is the caller's state advanced by
+``i*L`` steps.  The powers ``2**k`` of the matrix are squared once per
+process and kept as packed bits; the lane start states are built by
+doubling, one matrix product over a block of lanes per power of two of
+the lane count.
+
+Blocks below ``_LANE_MIN_WORDS`` (4096) words use the scalar word loop,
+which also serves ``next_u64``.  On one x86-64 CPU the lane path,
+including the first call's matrix squarings, overtakes the loop at
+about 4k words; once the matrices are cached it is 2x faster at 4k
+words and 60x at 1M.  The lane length is about the cube root of the
+block size, which was fastest from 1k to 4M words.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,6 +41,11 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
+
+# Blocks of at least this many words are drawn by the lane path.
+_LANE_MIN_WORDS = 4096
+# Offset of each byte's group in the flattened ``_apply`` table.
+_GROUPS = np.arange(32, dtype=np.intp)[:, None]
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -27,6 +55,121 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return state, z ^ (z >> 31)
+
+
+def _scalar_words(state: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The next ``n`` xoshiro256++ words from ``state``, and the state after them."""
+    s0, s1, s2, s3 = state
+    mask = _MASK
+    out = [0] * n
+    for i in range(n):
+        x = (s0 + s3) & mask
+        out[i] = ((((x << 23) & mask) | (x >> 41)) + s0) & mask
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) & mask) | (s3 >> 19)
+    return out, [s0, s1, s2, s3]
+
+
+def _apply(columns: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """GF(2) product of a 256x256 bit matrix with each of ``states``.
+
+    ``columns`` holds the matrix as 256 states, ``(256, 4)`` uint64: column
+    ``c = 64*w + b`` is the image of the unit state with only bit ``b`` of
+    word ``w`` set.  ``states`` is ``(m, 4)`` uint64; each image is the
+    XOR of the columns of its set bits.  The XORs of every subset of each
+    group of eight columns are tabulated first, so each state takes one
+    table entry per byte (the "four Russians" method).
+    """
+    table = np.empty((256, 32, 4), dtype=np.uint64)  # [subset, group, word]
+    table[0] = 0
+    groups = columns.reshape(32, 8, 4)
+    for b in range(8):
+        np.bitwise_xor(table[: 1 << b], groups[:, b], out=table[1 << b : 2 << b])
+    # Byte g of a little-endian state holds bits 8g..8g+7: group g.
+    subsets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    picked = np.take(table.reshape(-1, 4), subsets.astype(np.intp) * 32 + _GROUPS, axis=0)
+    return np.bitwise_xor.reduce(picked, axis=0)
+
+
+@functools.cache
+def _jump_columns(k: int) -> np.ndarray:
+    """Read-only columns (see ``_apply``) of the matrix that advances a state ``2**k`` steps.
+
+    The one-step columns are the unit states stepped once; each higher
+    power is the square of the one below.
+    """
+    if k == 0:
+        stepped = []
+        for c in range(256):
+            unit = [0, 0, 0, 0]
+            unit[c // 64] = 1 << (c % 64)
+            stepped.append(_scalar_words(unit, 1)[1])
+        columns = np.array(stepped, dtype=np.uint64)
+    else:
+        half = _jump_columns(k - 1)
+        columns = _apply(half, half)
+    columns.setflags(write=False)
+    return columns
+
+
+def _lane_starts(state: list[int], log_len: int, lanes: int) -> np.ndarray:
+    """States at words ``0, L, 2L, ...`` for ``lanes`` lanes of length ``L = 2**log_len``.
+
+    Returns a ``(lanes, 4)`` uint64 array.  The lane count doubles each
+    round: lanes ``h..2h-1`` are lanes ``0..h-1`` advanced by ``h*L`` steps.
+    """
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = state
+    have, k = 1, log_len
+    while have < lanes:
+        take = min(have, lanes - have)
+        starts[have : have + take] = _apply(_jump_columns(k), starts[:take])
+        have += take
+        k += 1
+    return starts
+
+
+def _lane_log_len(n: int) -> int:
+    """log2 of the lane length for an ``n``-word block: the cube root of ``n``, at least 16."""
+    return max(4, round(math.log2(n) / 3))
+
+
+def _lane_words(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """The next ``n`` words as uint64, and the state after them, from lanes stepped together."""
+    log_len = _lane_log_len(n)
+    lane_len = 1 << log_len
+    lanes = -(-n // lane_len)
+    s0, s1, s2, s3 = np.ascontiguousarray(_lane_starts(state, log_len, lanes).T)
+    # The last lane is the stream's end: it takes ``last`` of its steps.
+    last = n - (lanes - 1) * lane_len
+    out = np.empty((lane_len, lanes), dtype=np.uint64)
+    x = np.empty(lanes, dtype=np.uint64)
+    t = np.empty(lanes, dtype=np.uint64)
+    sh23, sh41, sh17, sh45, sh19 = (np.uint64(v) for v in (23, 41, 17, 45, 19))
+    final = None
+    for j in range(lane_len):
+        np.add(s0, s3, out=x)
+        np.left_shift(x, sh23, out=t)
+        np.right_shift(x, sh41, out=x)
+        np.bitwise_or(t, x, out=t)
+        np.add(t, s0, out=out[j])
+        np.left_shift(s1, sh17, out=t)
+        np.bitwise_xor(s2, s0, out=s2)
+        np.bitwise_xor(s3, s1, out=s3)
+        np.bitwise_xor(s1, s2, out=s1)
+        np.bitwise_xor(s0, s3, out=s0)
+        np.bitwise_xor(s2, t, out=s2)
+        np.left_shift(s3, sh45, out=t)
+        np.right_shift(s3, sh19, out=s3)
+        np.bitwise_or(s3, t, out=s3)
+        if j == last - 1:
+            final = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
+    return out.T.reshape(-1)[:n], final
 
 
 class Rng:
@@ -43,37 +186,16 @@ class Rng:
 
     def next_u64(self) -> int:
         """Next raw 64-bit word of the stream."""
-        s0, s1, s2, s3 = self._s
-        x = (s0 + s3) & _MASK
-        result = ((((x << 23) & _MASK) | (x >> 41)) + s0) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) & _MASK) | (s3 >> 19)
-        self._s = [s0, s1, s2, s3]
-        return result
+        words, self._s = _scalar_words(self._s, 1)
+        return words[0]
 
-    def _u64_block(self, n: int) -> list[int]:
-        # Inlined next_u64 loop; the generator is the hot path when
-        # initialising multi-million parameter networks.
-        s0, s1, s2, s3 = self._s
-        mask = _MASK
-        out = [0] * n
-        for i in range(n):
-            x = (s0 + s3) & mask
-            out[i] = ((((x << 23) & mask) | (x >> 41)) + s0) & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) & mask) | (s3 >> 19)
-        self._s = [s0, s1, s2, s3]
-        return out
+    def _u64_block(self, n: int) -> np.ndarray:
+        """The next ``n`` words of the stream as a uint64 array."""
+        if n < _LANE_MIN_WORDS:
+            words, self._s = _scalar_words(self._s, n)
+            return np.array(words, dtype=np.uint64)
+        words, self._s = _lane_words(self._s, n)
+        return words
 
     def uniform(self) -> float:
         """One float in [0, 1) with 53-bit resolution."""
@@ -81,8 +203,7 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         block = self._u64_block(n)
-        ints = np.fromiter((x >> 11 for x in block), dtype=np.float64, count=n)
-        return ints * _INV_2_53
+        return (block >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via the Box-Muller transform."""
@@ -91,12 +212,10 @@ class Rng:
         for dim in shape:
             count *= dim
         pairs = (count + 1) // 2
-        block = self._u64_block(2 * pairs)
+        block = self._u64_block(2 * pairs) >> np.uint64(11)
         # u1 lies in (0, 1] so the logarithm is always defined.
-        u1 = np.fromiter((x >> 11 for x in block[0::2]), dtype=np.float64, count=pairs)
-        u2 = np.fromiter((x >> 11 for x in block[1::2]), dtype=np.float64, count=pairs)
-        u1 = (u1 + 1.0) * _INV_2_53
-        u2 = u2 * _INV_2_53
+        u1 = (block[0::2].astype(np.float64) + 1.0) * _INV_2_53
+        u2 = block[1::2].astype(np.float64) * _INV_2_53
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = 2.0 * math.pi * u2
         draws = np.empty(2 * pairs, dtype=np.float64)
@@ -114,11 +233,32 @@ class Rng:
             if x < limit:
                 return x % bound
 
+    def below_each(self, bounds) -> list[int]:
+        """``[self.below(b) for b in bounds]``: same results, same final state.
+
+        Draws one word per bound as a block and reduces them all at once.
+        If any word would have been rejected, the state is restored and
+        the draws are repeated one by one, so the result is exact.
+        """
+        bounds = np.asarray(bounds)
+        if bounds.size and bounds.min() <= 0:
+            raise ValueError("bound must be positive")
+        bounds = bounds.astype(np.uint64)
+        saved = list(self._s)
+        words = self._u64_block(bounds.size)
+        # Word x is kept iff x < 2**64 - (2**64 % b), i.e. x <= MAX - (2**64 % b).
+        top = np.uint64(_MASK)
+        excess = (top % bounds + np.uint64(1)) % bounds
+        if np.all(words <= top - excess):
+            return (words % bounds).tolist()
+        self._s = saved
+        return [self.below(b) for b in bounds.tolist()]
+
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
         order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+        picks = self.below_each(np.arange(n, 1, -1, dtype=np.uint64))
+        for i, j in zip(range(n - 1, 0, -1), picks):
             order[i], order[j] = order[j], order[i]
         return np.array(order, dtype=np.int64)
 

@@ -1,8 +1,11 @@
 """Generator correctness: seeding, known answers, draw helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from delius import rng as rng_module
 from delius.rng import Rng, splitmix64
 
 # First outputs of splitmix64 from state 0, computed step by step from the
@@ -56,7 +59,7 @@ def test_different_seeds_diverge():
 
 def test_block_matches_single_draws():
     a, b = Rng(99), Rng(99)
-    assert a._u64_block(37) == [b.next_u64() for _ in range(37)]
+    assert a._u64_block(37).tolist() == [b.next_u64() for _ in range(37)]
 
 
 def test_uniform_range_and_determinism():
@@ -128,3 +131,165 @@ def test_spawn_deterministic():
     b = Rng(55).spawn()
     assert a.seed == b.seed
     assert a.next_u64() == b.next_u64()
+
+
+# Known answers of the word-by-word generator, frozen from it before large
+# blocks were drawn by lanes: SHA-256 of each draw's bytes and the next
+# raw word after it.  The normal draws also depend on numpy's log, sqrt,
+# cos and sin.
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def test_block_known_answer():
+    r = Rng(2021)
+    words = r._u64_block(1000003).astype("<u8")
+    assert _sha256(words) == "f45b73269593f7f9e611e89c5654ca23647c82413f3edd40f70e2521a7279c9f"
+    assert r.next_u64() == 0xE8AFAE76EE5E4C61
+
+
+def test_normal_known_answer():
+    r = Rng(2021)
+    draws = r.normal((2000, 500), std=0.01)
+    assert _sha256(draws) == "95b6b7bb16f67195451f3d63ef36614c7936d9ff2823861f0265a50a5ba03b03"
+    assert r.next_u64() == 0xE39D641A32BC6A0B
+
+
+def test_uniforms_known_answer():
+    r = Rng(2021)
+    values = r.uniforms(100003)
+    assert _sha256(values) == "a7783e7fe7f3fde3be5a3f29606d1b14e59df6a4a0986201545704162db217e4"
+    assert r.next_u64() == 0x5C6361BDDA711419
+
+
+def test_permutation_known_answer():
+    r = Rng(2021)
+    perm = r.permutation(6000).astype(np.int64)
+    assert _sha256(perm) == "d2076977239bdad3e784cdaa1c6361c65658b384ad3338af4242d74f2da06c08"
+    assert r.next_u64() == 0x682B1D5E4A153AF2
+
+
+# Lane path: every block must equal the words and final state of the
+# one-word-at-a-time stream.
+
+
+def _assert_block_is_stream(seed: int, n: int, block) -> None:
+    a, b = Rng(seed), Rng(seed)
+    assert block(a, n).tolist() == [b.next_u64() for _ in range(n)]
+    assert a._s == b._s
+    assert a.next_u64() == b.next_u64()
+
+
+def _lane_path(r: Rng, n: int) -> np.ndarray:
+    words, r._s = rng_module._lane_words(r._s, n)
+    return words
+
+
+SMALL_LANE = 1 << rng_module._lane_log_len(1)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, SMALL_LANE - 1, SMALL_LANE, SMALL_LANE + 1, 2 * SMALL_LANE + 1,
+     3 * SMALL_LANE + 5, 5 * SMALL_LANE + 3],
+)
+def test_lane_path_matches_stream_at_lane_boundaries(n):
+    assert rng_module._lane_log_len(n) == rng_module._lane_log_len(1)
+    _assert_block_is_stream(77, n, _lane_path)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_block_matches_stream_at_crossover(offset):
+    _assert_block_is_stream(78, rng_module._LANE_MIN_WORDS + offset, Rng._u64_block)
+
+
+@pytest.mark.parametrize("n", [0, 1, 40000, 3 * 2**15 + 5])
+def test_block_matches_stream(n):
+    _assert_block_is_stream(79, n, Rng._u64_block)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7, 10])
+def test_jump_matrix_matches_scalar_steps(k):
+    gen = np.random.default_rng(k)
+    state = [int(w) for w in gen.integers(0, 2**64, size=4, dtype=np.uint64)]
+    jumped = rng_module._apply(rng_module._jump_columns(k), np.array([state], dtype=np.uint64))
+    _, stepped = rng_module._scalar_words(state, 1 << k)
+    assert jumped[0].tolist() == stepped
+
+
+# Batched bounded draws.
+
+
+def test_below_each_matches_below():
+    bounds = list(range(1, 5000)) + [7, 2**40 + 3]
+    a, b = Rng(12), Rng(12)
+    assert a.below_each(bounds) == [b.below(bound) for bound in bounds]
+    assert a._s == b._s
+
+
+def test_below_each_falls_back_exactly_on_rejection():
+    # 2**64 % (2**63 + 1) = 2**63 - 1, so almost half of all words are
+    # rejected and the batched draw must replay the scalar loop.
+    bound = 2**63 + 1
+    a, b = Rng(13), Rng(13)
+    got = a.below_each([bound] * 50)
+    assert got == [b.below(bound) for _ in range(50)]
+    assert a._s == b._s
+    one_word_each = Rng(13)
+    one_word_each._u64_block(50)
+    assert a._s != one_word_each._s  # some word was rejected
+
+
+class _ListRng(Rng):
+    """Serves the given words in order; its state is the read position."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = words
+        self._s = [0]
+
+    def next_u64(self):
+        (pos,) = self._s
+        self._s = [pos + 1]
+        return self.words[pos]
+
+    def _u64_block(self, n):
+        (pos,) = self._s
+        self._s = [pos + n]
+        return np.array(self.words[pos : pos + n], dtype=np.uint64)
+
+
+def test_below_each_rejects_exactly_from_the_limit():
+    # 2**64 % 6 == 4: words below 2**64 - 4 are kept, the four above are not.
+    limit = 2**64 - 4
+    r = _ListRng([limit - 1, limit, 5])
+    assert r.below_each([6, 6]) == [(limit - 1) % 6, 5]
+    assert r._s == [3]
+    r = _ListRng([limit - 1, 5])
+    assert r.below_each([6, 6]) == [(limit - 1) % 6, 5]
+    assert r._s == [2]
+
+
+def test_below_each_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        Rng(0).below_each([3, 0])
+
+
+def test_below_each_empty():
+    r = Rng(14)
+    assert r.below_each([]) == []
+    assert r._s == Rng(14)._s
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 5001])
+def test_permutation_matches_scalar_fisher_yates(n):
+    ref = Rng(15)
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = ref.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    r = Rng(15)
+    assert r.permutation(n).tolist() == order
+    assert r._s == ref._s
