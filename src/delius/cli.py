@@ -13,7 +13,11 @@ Conventions shared by every subcommand:
 * ``--seed`` fixes every stochastic choice, and rerunning with the same
   flags and seed reproduces each numeric artifact byte for byte;
 * ``--threads`` caps numeric parallelism (default 1, env fallback
-  DELIUS_THREADS); the cap is exported before numpy loads;
+  DELIUS_THREADS): main() writes the cap into OPENBLAS_NUM_THREADS,
+  OMP_NUM_THREADS, MKL_NUM_THREADS and NUMEXPR_NUM_THREADS, replacing
+  inherited values; in a ``delius`` process numpy has not loaded yet at
+  that point, so the BLAS pool starts at that size (a caller that
+  imported numpy before calling main() keeps the pool it has);
 * each run writes a small JSON manifest recording flags, seed, input
   digests, package version and wall time;
 * artifacts are written under a ``.partial`` suffix and renamed on
@@ -789,7 +793,7 @@ def main(argv=None) -> int:
     try:
         threads = _resolve_threads(args)
         for var in _THREAD_ENV_VARS:
-            os.environ.setdefault(var, str(threads))
+            os.environ[var] = str(threads)
         args.func(args)
     except DeliusError as exc:
         stage = _stage.name or args.command

@@ -336,6 +336,45 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             fh.write(payload)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_preamble(path: str, preamble, off: int) -> None:
+    """Raise FormatError unless the preamble has the layout save_checkpoint writes."""
+
+    def bad(what: str):
+        raise FormatError(f"{path}: preamble at byte offset {off}: {what}")
+
+    if not isinstance(preamble, dict):
+        bad(f"expected a JSON object, got {type(preamble).__name__}")
+    for key in ("layer_dims", "activations", "seed", "phase", "epoch", "blocks"):
+        if key not in preamble:
+            bad(f"missing key {key!r}")
+    dims, activations = preamble["layer_dims"], preamble["activations"]
+    if not isinstance(dims, list) or not all(_is_int(d) and d > 0 for d in dims):
+        bad("layer_dims must be a list of positive integers")
+    if not isinstance(activations, list) or not all(isinstance(a, str) for a in activations):
+        bad("activations must be a list of strings")
+    if len(activations) != len(dims) - 1:
+        bad(f"{len(activations)} activations for {len(dims)} layer sizes")
+    if not _is_int(preamble["seed"]) or not _is_int(preamble["epoch"]):
+        bad("seed and epoch must be integers")
+    if preamble["phase"] not in PHASES:
+        bad(f"unknown training phase {preamble['phase']!r}")
+    blocks = preamble["blocks"]
+    if not isinstance(blocks, list):
+        bad("blocks must be a list")
+    for block in blocks:
+        if (
+            not isinstance(block, dict)
+            or not isinstance(block.get("name"), str)
+            or not isinstance(block.get("shape"), list)
+            or not all(_is_int(d) and d >= 0 for d in block["shape"])
+        ):
+            bad(f"malformed block entry {block!r}")
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     try:
         with open(path, "rb") as fh:
@@ -355,6 +394,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         preamble = json.loads(data[off : off + json_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable preamble at byte offset {off}: {exc}")
+    _check_preamble(path, preamble, off)
     off += json_len
     arrays = {}
     for block in preamble["blocks"]:

@@ -1,14 +1,19 @@
 """Command line behaviour: artifacts, determinism, exit codes."""
 
 import hashlib
+import importlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from delius.cli import main
+import delius
+from delius.cli import _THREAD_ENV_VARS, main
 from delius.dataio import (
     FeatureMapBlock,
     FeatureMatrix,
@@ -377,6 +382,19 @@ def test_nan_features_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("preamble", [b"{}", b"[]"])
+def test_malformed_checkpoint_preamble_exit_3(workspace, tmp_path, capsys, preamble):
+    ckpt = tmp_path / "bad.delc"
+    ckpt.write_bytes(b"DELC" + struct.pack("<HI", 1, len(preamble)) + preamble)
+    code = main(
+        ["cluster", "--features", workspace["features"], "--ae-checkpoint", str(ckpt),
+         "--out-assignments", str(tmp_path / "a.csv"),
+         "--out-checkpoint", str(tmp_path / "m.delc")] + CLUSTER_FLAGS
+    )
+    assert code == 3
+    assert "bad.delc: preamble" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_blowup_exit_4(tmp_path, capsys):
     huge = FeatureMatrix.from_array(np.full((8, 4), 1e200))
@@ -415,7 +433,37 @@ def test_threads_flag_overrides_env(monkeypatch, tmp_path):
     maps = str(tmp_path / "m.delm")
     write_feature_maps(block, maps)
     out = str(tmp_path / "p.delf")
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "7")  # inherited caps the flag must replace
     assert main(["gap", "--maps", maps, "--out", out, "--threads", "2"]) == 0
+    assert {var: os.environ[var] for var in _THREAD_ENV_VARS} == dict.fromkeys(
+        _THREAD_ENV_VARS, "2"
+    )
+
+
+def test_package_names_resolve_on_first_use():
+    for name in delius.__all__:
+        module = importlib.import_module(f"delius.{delius._MODULE_OF[name]}")
+        assert getattr(delius, name) is getattr(module, name)
+    assert delius.metrics is importlib.import_module("delius.metrics")
+    with pytest.raises(AttributeError):
+        delius.no_such_name
+
+
+def test_package_import_loads_no_numeric_library():
+    src = os.path.dirname(os.path.dirname(delius.__file__))
+    probe = (
+        "import sys, delius, delius.cli\n"
+        "cli = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "import delius.metrics\n"
+        "print(cli, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[0] == "[] False"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from delius.errors import ConfigError, DataError, ShapeError
 from delius.metrics import (
     EvalReport,
     calinski_harabasz,
+    _max_weight_assignment,
     clustering_accuracy,
     evaluate,
     silhouette,
@@ -243,6 +244,53 @@ def test_accuracy_bounds_property(seed, k, n):
     # by mapping everything there, but must at least match chance on the
     # largest cluster-class pair
     assert acc >= 1.0 / (k * k)
+
+
+# ---------------------------------------------------------------------------
+# the assignment solver behind accuracy
+
+
+def brute_max_weight(weights):
+    side = len(weights)
+    return max(
+        sum(int(weights[i][perm[i]]) for i in range(side))
+        for perm in itertools.permutations(range(side))
+    )
+
+
+def _solver_cases(side):
+    rng = np.random.default_rng(side)
+    yield np.zeros((side, side), dtype=np.int64)
+    yield np.full((side, side), 7, dtype=np.int64)
+    yield np.eye(side, dtype=np.int64)
+    for high in (2, 2, 3, 50):  # small ranges make many ties
+        for _ in range(4):
+            yield rng.integers(0, high, size=(side, side))
+
+
+def _check_permutation(cols, side):
+    assert cols.shape == (side,)
+    assert sorted(cols.tolist()) == list(range(side))
+
+
+@pytest.mark.parametrize("side", range(1, 8))
+def test_assignment_matches_all_permutations(side):
+    for weights in _solver_cases(side):
+        cols = _max_weight_assignment(weights)
+        _check_permutation(cols, side)
+        assert int(weights[np.arange(side), cols].sum()) == brute_max_weight(weights)
+
+
+def test_assignment_matches_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2016)
+    for side in list(range(1, 30)) + [40, 60]:
+        for high in (2, 5, 1000):
+            weights = rng.integers(0, high, size=(side, side))
+            cols = _max_weight_assignment(weights)
+            _check_permutation(cols, side)
+            rows, ref = optimize.linear_sum_assignment(weights, maximize=True)
+            assert weights[np.arange(side), cols].sum() == weights[rows, ref].sum()
 
 
 # ---------------------------------------------------------------------------

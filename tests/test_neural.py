@@ -1,5 +1,8 @@
 """Network forward/backward math, Adam, and checkpoint files."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,3 +424,44 @@ def test_checkpoint_trailing_bytes_detected(tmp_path):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="gone.delc"):
         load_checkpoint(str(tmp_path / "gone.delc"))
+
+
+def _rewrite_preamble(path, edit):
+    """Replace the JSON preamble of the checkpoint at ``path`` by ``edit(preamble)``."""
+    data = open(path, "rb").read()
+    (length,) = struct.unpack("<I", data[6:10])
+    preamble = edit(json.loads(data[10 : 10 + length]))
+    raw = json.dumps(preamble).encode("utf-8")
+    open(path, "wb").write(data[:6] + struct.pack("<I", len(raw)) + raw + data[10 + length :])
+
+
+def _without(key):
+    def edit(preamble):
+        del preamble[key]
+        return preamble
+
+    return edit
+
+
+def _bad_shape(preamble):
+    preamble["blocks"][0]["shape"] = "3x2"
+    return preamble
+
+
+def _bad_phase(preamble):
+    preamble["phase"] = "zzz"
+    return preamble
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda p: {}, lambda p: [], _without("epoch"), _bad_shape, _bad_phase],
+    ids=["empty-object", "list", "missing-key", "shape-type", "unknown-phase"],
+)
+def test_checkpoint_malformed_preamble_rejected(tmp_path, edit):
+    params = _net([3, 2], ["identity"], seed=0)
+    path = str(tmp_path / "x.delc")
+    save_checkpoint(path, Checkpoint(params=params, seed=0, phase="pretrain", epoch=1))
+    _rewrite_preamble(path, edit)
+    with pytest.raises(FormatError, match="preamble at byte offset 10"):
+        load_checkpoint(path)
