@@ -90,20 +90,15 @@ def encoder_part(params: MlpParams) -> MlpParams:
     return MlpParams(layers=params.layers[:half])
 
 
-def _is_full_autoencoder(params: MlpParams) -> bool:
-    dims = params.dims()
-    return len(params.layers) % 2 == 0 and len(params.layers) >= 2 and dims == dims[::-1]
-
-
 def encode(params: MlpParams, features) -> np.ndarray:
-    """Map features to the bottleneck space.
+    """Map features through an encoder chain, every layer of it.
 
-    Accepts either the full mirrored autoencoder (only the encoder half
-    runs) or an already-extracted encoder chain.
+    Pass ``encoder_part(params)`` to embed with a full autoencoder: the
+    layer sizes alone cannot tell a mirrored autoencoder from an encoder
+    whose sizes happen to read the same both ways (8-4-8).
     """
     x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
-    encoder = encoder_part(params) if _is_full_autoencoder(params) else params
-    _, out = neural.forward(encoder, x)
+    _, out = neural.forward(params, x)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autoencoder
-from .dataio import FeatureMatrix, LabelManifest, labels_for
+from .dataio import FeatureMatrix, LabelManifest, truth_labels
 from .kmeans import DEFAULT_RESTARTS, kmeans_fit
 from .metrics import EvalReport, evaluate
 from .neural import MlpParams
@@ -38,15 +38,6 @@ class BaselineRun:
     points: np.ndarray
 
 
-def _truth_pairs(features: FeatureMatrix, manifest: LabelManifest | None):
-    if manifest is None:
-        return None, None
-    return (
-        labels_for(manifest, features, "style"),
-        labels_for(manifest, features, "genre"),
-    )
-
-
 def run_pca_kmeans(
     features: FeatureMatrix,
     k: int,
@@ -59,7 +50,7 @@ def run_pca_kmeans(
     model = pca_fit(features.values, r)
     reduced = pca_transform(model, features.values)
     km = kmeans_fit(reduced, k, Rng(seed), restarts=restarts)
-    style, genre = _truth_pairs(features, manifest)
+    style, genre = truth_labels(manifest, features)
     report = evaluate(
         reduced, km.labels, f"pca{r}", style_truth=style, genre_truth=genre
     )
@@ -77,20 +68,20 @@ def run_pca_kmeans(
 
 def run_ae_kmeans(
     features: FeatureMatrix,
-    params: MlpParams,
+    encoder: MlpParams,
     k: int,
     seed: int = 0,
     manifest: LabelManifest | None = None,
     restarts: int = DEFAULT_RESTARTS,
 ) -> BaselineRun:
-    """k-means on the pretrained embedding, with no joint optimisation.
+    """k-means on the encoder's embedding, with no joint optimisation.
 
-    Given the same features, parameters and seed protocol, the labels
-    here coincide with the joint optimiser's starting labels.
+    Given the same features, encoder and seed protocol, the labels here
+    coincide with the joint optimiser's starting labels.
     """
-    embedded = autoencoder.encode(params, features)
+    embedded = autoencoder.encode(encoder, features)
     km = kmeans_fit(embedded, k, Rng(seed), restarts=restarts)
-    style, genre = _truth_pairs(features, manifest)
+    style, genre = truth_labels(manifest, features)
     report = evaluate(
         embedded, km.labels, EMBEDDED_SPACE_TAG, style_truth=style, genre_truth=genre
     )

@@ -23,8 +23,11 @@ Conventions shared by every subcommand:
 * artifacts are written under a ``.partial`` suffix and renamed on
   stage success, so a crashed stage leaves only ``.partial`` files.
 
-Heavy imports happen inside handlers so the thread cap set in main()
-precedes them.
+Each subcommand reads its inputs, calls one stage function and writes
+its manifest; ``run`` chains the same stage functions in one process, so
+its artifacts equal those of the chained subcommands byte for byte.
+Stage functions import what they use when called, so the thread cap set
+in main() precedes numpy and a process loads only its stages' modules.
 """
 
 from __future__ import annotations
@@ -114,98 +117,154 @@ def _parse_dims(text: str):
     return dims
 
 
-def _load_features(path: str, fmt: str, header: bool):
-    from .dataio import read_features
-
-    return read_features(path, fmt=fmt, header=header)
-
-
 def _adam_config(args):
     from .neural import AdamConfig
 
     return AdamConfig(lr=args.lr, beta1=args.beta1, beta2=args.beta2, epsilon=args.epsilon)
 
 
-def _load_manifest_arg(path):
-    if path is None:
-        return None
-    from .dataio import read_label_manifest
+def _dec_config(args):
+    """The joint optimisation's settings, checked before any input is read."""
+    from .dec import DecConfig
 
-    return read_label_manifest(path)
-
-
-def _truths(features, manifest, column):
-    from .dataio import labels_for
-
-    style = genre = None
-    if manifest is not None:
-        if column in ("style", "both"):
-            style = labels_for(manifest, features, "style")
-        if column in ("genre", "both"):
-            genre = labels_for(manifest, features, "genre")
-    return style, genre
-
-
-def _aligned_labels(points, assignments):
-    import numpy as np
-
-    from .errors import DataError
-
-    rows = {i: r for r, i in enumerate(assignments.ids)}
-    labels = np.empty(points.n, dtype=np.int64)
-    for r, i in enumerate(points.ids):
-        if i not in rows:
-            raise DataError(f"id {i!r} has no cluster assignment")
-        labels[r] = assignments.hard[rows[i]]
-    return labels
-
-
-def _write_xy(path: str, ids, coords, pca_style: bool):
-    import csv
-
-    header = ["id"] + (
-        [f"c_{j + 1}" for j in range(coords.shape[1])] if pca_style else ["x", "y"]
+    config = DecConfig(
+        k=args.k,
+        update_interval=args.update_interval,
+        delta=args.delta,
+        batch_size=args.batch_size,
+        optimizer=_adam_config(args),
+        max_iterations=args.max_iterations,
+        kmeans_restarts=args.restarts,
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, row in zip(ids, coords):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    config.validate()
+    return config
 
 
-def _read_xy(path: str):
-    import csv
+def _encoder_of(ckpt):
+    """The encoder chain a checkpoint holds, decided by the phase that wrote it.
 
-    import numpy as np
+    A pretrain checkpoint holds the mirrored autoencoder, whose first half
+    is the encoder; a joint (dec) checkpoint holds the refined encoder.
+    """
+    from .autoencoder import encoder_part
 
-    from .errors import ConfigError, FormatError
-
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"projection file not found: {path}")
-    with fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if len(rows) < 2:
-        raise FormatError(f"{path}: no data rows")
-    if rows[0][0] != "id" or len(rows[0]) < 3:
-        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
-    ids = []
-    coords = np.empty((len(rows) - 1, 2), dtype=np.float64)
-    for r, row in enumerate(rows[1:]):
-        if len(row) != len(rows[0]):
-            raise FormatError(f"{path}: row {r + 2} has {len(row)} columns")
-        ids.append(row[0])
-        try:
-            coords[r, 0] = float(row[1])
-            coords[r, 1] = float(row[2])
-        except ValueError:
-            raise FormatError(f"{path}: row {r + 2}: cannot parse coordinates")
-    return ids, coords
+    return encoder_part(ckpt.params) if ckpt.phase == "pretrain" else ckpt.params
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# stages: in-memory inputs, artifacts written, what the next stage needs returned
+
+
+def _pretrain(args, features, checkpoint_path: str, loss_path: str):
+    """Train the mirrored autoencoder; return the checkpoint written."""
+    from . import autoencoder
+    from .neural import Checkpoint, save_checkpoint
+    from .rng import Rng
+
+    spec = autoencoder.AutoencoderSpec(
+        input_dim=features.d,
+        encoder_dims=_parse_dims(args.encoder_dims),
+        batch_size=args.batch_size,
+        epochs=args.epochs,
+        optimizer=_adam_config(args),
+    )
+    rng = Rng(args.seed)
+    params = autoencoder.build(spec, rng)
+    params, report = autoencoder.pretrain(params, features, spec, rng)
+    ckpt = Checkpoint(params=params, seed=args.seed, phase="pretrain", epoch=spec.epochs)
+    with _artifact(checkpoint_path) as target:
+        save_checkpoint(target, ckpt)
+    with _artifact(loss_path) as target:
+        report.write_csv(target)
+    return ckpt
+
+
+def _cluster(args, config, features, encoder, assignments_path, checkpoint_path,
+             history_path, embedded_path=None):
+    """Refine encoder and centroids jointly; return the assignments and the
+    embedded features (None without ``embedded_path``)."""
+    from . import autoencoder
+    from .dataio import ClusterAssignments, FeatureMatrix, write_assignments, write_features
+    from .dec import dec_fit
+    from .neural import Checkpoint, save_checkpoint
+    from .rng import Rng
+
+    result = dec_fit(features, encoder, config, Rng(args.seed))
+    assignments = ClusterAssignments(ids=features.ids, hard=result.state.hard, q=result.state.q)
+    with _artifact(assignments_path) as target:
+        write_assignments(assignments, target)
+    with _artifact(checkpoint_path) as target:
+        save_checkpoint(
+            target,
+            Checkpoint(
+                params=result.encoder,
+                seed=args.seed,
+                phase="dec",
+                epoch=result.history.iterations_run,
+                centroids=result.centroids,
+            ),
+        )
+    with _artifact(history_path) as target:
+        result.history.write_csv(target)
+    embedded = None
+    if embedded_path:
+        embedded = FeatureMatrix(
+            values=autoencoder.encode(result.encoder, features), ids=features.ids
+        )
+        with _artifact(embedded_path) as target:
+            write_features(embedded, target, fmt="binary")
+    return assignments, embedded
+
+
+def _evaluate(points, assignments, manifest, column: str, space_tag: str, out: str):
+    from .dataio import cluster_labels, truth_labels
+    from .metrics import evaluate
+
+    style, genre = truth_labels(manifest, points, column)
+    report = evaluate(
+        points.values,
+        cluster_labels(points.ids, assignments),
+        space_tag,
+        style_truth=style,
+        genre_truth=genre,
+    )
+    with _artifact(out) as target:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+
+
+def _project(features, strata, fraction: float, seed: int, out: str, tsne=None, pca_dim=None):
+    """Project a sample stratified by ``strata`` (t-SNE given a config, else
+    PCA); return the sample's ids and coordinates."""
+    from .dataio import stratified_sample, write_xy
+
+    sample = stratified_sample(features, strata, fraction, seed) if fraction < 1.0 else features
+    if tsne is None:
+        from .projection import pca_fit, pca_transform
+
+        coords = pca_transform(pca_fit(sample.values, pca_dim), sample.values)
+    else:
+        from .projection import tsne_embed
+
+        coords = tsne_embed(sample.values, tsne)
+    with _artifact(out) as target:
+        write_xy(target, sample.ids, coords, pca_style=tsne is None)
+    return sample.ids, coords
+
+
+def _plot(ids, coords, assignments, out: str, **layout):
+    from .dataio import cluster_labels
+    from .plotting import ScatterSpec, render_scatter
+
+    spec = ScatterSpec(points=coords, labels=cluster_labels(ids, assignments), **layout)
+    svg = render_scatter(spec)
+    with _artifact(out) as target:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+
+
+# ---------------------------------------------------------------------------
+# handlers: load, one stage, manifest
 
 
 def _cmd_gap(args) -> None:
@@ -222,31 +281,13 @@ def _cmd_gap(args) -> None:
 
 def _cmd_pretrain(args) -> None:
     started = time.monotonic()
-    from . import autoencoder
-    from .neural import Checkpoint, save_checkpoint
-    from .rng import Rng
+    from .dataio import read_features
 
     with _stage("load"):
-        features = _load_features(args.features, args.format, args.header)
+        features = read_features(args.features, fmt=args.format, header=args.header)
     with _stage("pretrain"):
-        spec = autoencoder.AutoencoderSpec(
-            input_dim=features.d,
-            encoder_dims=_parse_dims(args.encoder_dims),
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            optimizer=_adam_config(args),
-        )
-        rng = Rng(args.seed)
-        params = autoencoder.build(spec, rng)
-        params, report = autoencoder.pretrain(params, features, spec, rng)
-        with _artifact(args.out_checkpoint) as target:
-            save_checkpoint(
-                target,
-                Checkpoint(params=params, seed=args.seed, phase="pretrain", epoch=spec.epochs),
-            )
         loss_path = args.out_loss_curve or args.out_checkpoint + ".loss.csv"
-        with _artifact(loss_path) as target:
-            report.write_csv(target)
+        _pretrain(args, features, args.out_checkpoint, loss_path)
     _write_manifest(
         args.out_checkpoint + ".manifest.json", "pretrain", args, [args.features], started
     )
@@ -254,56 +295,17 @@ def _cmd_pretrain(args) -> None:
 
 def _cmd_cluster(args) -> None:
     started = time.monotonic()
-    from . import autoencoder
-    from .dataio import ClusterAssignments, FeatureMatrix, write_assignments, write_features
-    from .dec import DecConfig, dec_fit
-    from .neural import Checkpoint, load_checkpoint, save_checkpoint
-    from .rng import Rng
+    from .dataio import read_features
+    from .neural import load_checkpoint
 
+    config = _dec_config(args)
     with _stage("load"):
-        features = _load_features(args.features, args.format, args.header)
-        ckpt = load_checkpoint(args.ae_checkpoint)
-        params = ckpt.params
-        try:
-            encoder = autoencoder.encoder_part(params)
-        except Exception:
-            encoder = params  # already an encoder-only chain
+        features = read_features(args.features, fmt=args.format, header=args.header)
+        encoder = _encoder_of(load_checkpoint(args.ae_checkpoint))
     with _stage("cluster"):
-        config = DecConfig(
-            k=args.k,
-            update_interval=args.update_interval,
-            delta=args.delta,
-            batch_size=args.batch_size,
-            optimizer=_adam_config(args),
-            max_iterations=args.max_iterations,
-            kmeans_restarts=args.restarts,
-        )
-        result = dec_fit(features, encoder, config, Rng(args.seed))
-        assignments = ClusterAssignments(
-            ids=features.ids, hard=result.state.hard, q=result.state.q
-        )
-        with _artifact(args.out_assignments) as target:
-            write_assignments(assignments, target)
-        with _artifact(args.out_checkpoint) as target:
-            save_checkpoint(
-                target,
-                Checkpoint(
-                    params=result.encoder,
-                    seed=args.seed,
-                    phase="dec",
-                    epoch=result.history.iterations_run,
-                    centroids=result.centroids,
-                ),
-            )
         history_path = args.out_history or args.out_assignments + ".history.csv"
-        with _artifact(history_path) as target:
-            result.history.write_csv(target)
-        if args.out_embedded:
-            embedded = autoencoder.encode(result.encoder, features)
-            with _artifact(args.out_embedded) as target:
-                write_features(
-                    FeatureMatrix(values=embedded, ids=features.ids), target, fmt="binary"
-                )
+        _cluster(args, config, features, encoder, args.out_assignments,
+                 args.out_checkpoint, history_path, args.out_embedded)
     _write_manifest(
         args.out_assignments + ".manifest.json",
         "cluster",
@@ -315,22 +317,16 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_eval(args) -> None:
     started = time.monotonic()
-    from .dataio import read_assignments
-    from .metrics import evaluate
+    from .dataio import read_assignments, read_features, read_label_manifest
 
     with _stage("load"):
-        points = _load_features(args.points, args.format, args.header)
+        points = read_features(args.points, fmt=args.format, header=args.header)
         assignments = read_assignments(args.assignments)
-        manifest = _load_manifest_arg(args.labels_manifest)
-    with _stage("eval"):
-        labels = _aligned_labels(points, assignments)
-        style, genre = _truths(points, manifest, args.label_column)
-        report = evaluate(
-            points.values, labels, args.space_tag, style_truth=style, genre_truth=genre
+        manifest = (
+            None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
         )
-        with _artifact(args.out) as target:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+    with _stage("eval"):
+        _evaluate(points, assignments, manifest, args.label_column, args.space_tag, args.out)
     _write_manifest(
         args.out + ".manifest.json",
         "eval",
@@ -343,13 +339,15 @@ def _cmd_eval(args) -> None:
 def _cmd_baseline(args) -> None:
     started = time.monotonic()
     from .baselines import run_ae_kmeans, run_pca_kmeans
-    from .dataio import ClusterAssignments, write_assignments
+    from .dataio import ClusterAssignments, read_features, read_label_manifest, write_assignments
     from .errors import ConfigError
     from .neural import load_checkpoint
 
     with _stage("load"):
-        features = _load_features(args.features, args.format, args.header)
-        manifest = _load_manifest_arg(args.labels_manifest)
+        features = read_features(args.features, fmt=args.format, header=args.header)
+        manifest = (
+            None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
+        )
     with _stage("baseline"):
         if args.strategy == "pca-kmeans":
             run = run_pca_kmeans(
@@ -363,10 +361,9 @@ def _cmd_baseline(args) -> None:
         else:
             if not args.ae_checkpoint:
                 raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
-            ckpt = load_checkpoint(args.ae_checkpoint)
             run = run_ae_kmeans(
                 features,
-                ckpt.params,
+                _encoder_of(load_checkpoint(args.ae_checkpoint)),
                 args.k,
                 seed=args.seed,
                 manifest=manifest,
@@ -389,62 +386,48 @@ def _cmd_baseline(args) -> None:
     )
 
 
+def _cluster_strata(ids, assignments) -> dict:
+    from .dataio import cluster_labels
+
+    return dict(zip(ids, cluster_labels(ids, assignments).tolist()))
+
+
 def _stratify_labels(args, features):
+    from .dataio import read_assignments, read_label_manifest
     from .errors import ConfigError
 
     if args.labels_manifest:
-        manifest = _load_manifest_arg(args.labels_manifest)
-        column = args.label_column if args.label_column != "both" else "style"
-        mapping = manifest.label_map(column)
+        mapping = read_label_manifest(args.labels_manifest).label_map(args.label_column)
         missing = [i for i in features.ids if i not in mapping]
         if missing:
             raise ConfigError(
-                f"cannot stratify: id {missing[0]!r} has no {column} label"
+                f"cannot stratify: id {missing[0]!r} has no {args.label_column} label"
             )
         return {i: mapping[i] for i in features.ids}
     if args.assignments:
-        from .dataio import read_assignments
-
-        assignments = read_assignments(args.assignments)
-        rows = {i: int(h) for i, h in zip(assignments.ids, assignments.hard)}
-        missing = [i for i in features.ids if i not in rows]
-        if missing:
-            raise ConfigError(
-                f"cannot stratify: id {missing[0]!r} has no cluster assignment"
-            )
-        return {i: rows[i] for i in features.ids}
+        return _cluster_strata(features.ids, read_assignments(args.assignments))
     return {i: 0 for i in features.ids}  # single stratum: plain sampling
 
 
 def _cmd_project(args) -> None:
     started = time.monotonic()
-    from .dataio import stratified_sample
-    from .projection import TsneConfig, pca_fit, pca_transform, tsne_embed
+    from .dataio import read_features
+    from .projection import TsneConfig
 
     with _stage("load"):
-        features = _load_features(args.features, args.format, args.header)
+        features = read_features(args.features, fmt=args.format, header=args.header)
     with _stage("project"):
-        if args.fraction < 1.0:
-            labels = _stratify_labels(args, features)
-            sample = stratified_sample(features, labels, args.fraction, args.seed)
-        else:
-            sample = features
-        if args.method == "pca":
-            model = pca_fit(sample.values, args.r)
-            coords = pca_transform(model, sample.values)
-            pca_style = True
-        else:
-            config = TsneConfig(
+        strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
+        tsne = None
+        if args.method == "tsne":
+            tsne = TsneConfig(
                 perplexity=args.perplexity,
                 iterations=args.iterations,
                 learning_rate=args.learning_rate,
                 early_exaggeration=args.early_exaggeration,
                 seed=args.seed,
             )
-            coords = tsne_embed(sample.values, config)
-            pca_style = False
-        with _artifact(args.out) as target:
-            _write_xy(target, sample.ids, coords, pca_style)
+        _project(features, strata, args.fraction, args.seed, args.out, tsne, pca_dim=args.r)
     _write_manifest(
         args.out + ".manifest.json",
         "project",
@@ -456,33 +439,14 @@ def _cmd_project(args) -> None:
 
 def _cmd_plot(args) -> None:
     started = time.monotonic()
-    import numpy as np
-
-    from .dataio import read_assignments
-    from .errors import DataError
-    from .plotting import ScatterSpec, render_scatter
+    from .dataio import read_assignments, read_xy
 
     with _stage("load"):
-        ids, coords = _read_xy(args.xy)
+        ids, coords = read_xy(args.xy)
         assignments = read_assignments(args.assignments)
     with _stage("plot"):
-        rows = {i: r for r, i in enumerate(assignments.ids)}
-        labels = np.empty(len(ids), dtype=np.int64)
-        for r, i in enumerate(ids):
-            if i not in rows:
-                raise DataError(f"id {i!r} has no cluster assignment")
-            labels[r] = assignments.hard[rows[i]]
-        spec = ScatterSpec(
-            points=coords,
-            labels=labels,
-            width=args.width,
-            height=args.height,
-            radius=args.radius,
-        )
-        svg = render_scatter(spec)
-        with _artifact(args.out) as target:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+        _plot(ids, coords, assignments, args.out,
+              width=args.width, height=args.height, radius=args.radius)
     _write_manifest(
         args.out + ".manifest.json", "plot", args, [args.xy, args.assignments], started
     )
@@ -490,122 +454,35 @@ def _cmd_plot(args) -> None:
 
 def _cmd_run(args) -> None:
     started = time.monotonic()
-    import numpy as np
-
-    from . import autoencoder
-    from .dataio import (
-        ClusterAssignments,
-        FeatureMatrix,
-        stratified_sample,
-        write_assignments,
-        write_features,
-    )
-    from .dec import DecConfig, dec_fit
-    from .metrics import evaluate
-    from .neural import Checkpoint, save_checkpoint
-    from .plotting import ScatterSpec, render_scatter
-    from .projection import TsneConfig, tsne_embed
-    from .rng import Rng
+    from .dataio import read_features, read_label_manifest
+    from .projection import TsneConfig
 
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
-
-    # Fail on bad knobs before any heavy work.
-    dec_config = DecConfig(
-        k=args.k,
-        update_interval=args.update_interval,
-        delta=args.delta,
-        batch_size=args.batch_size,
-        optimizer=_adam_config(args),
-        max_iterations=args.max_iterations,
-        kmeans_restarts=args.restarts,
-    )
-    dec_config.validate()
+    config = _dec_config(args)  # fail on bad knobs before any heavy work
 
     with _stage("load"):
-        features = _load_features(args.features, args.format, args.header)
-        manifest = _load_manifest_arg(args.labels_manifest)
+        features = read_features(args.features, fmt=args.format, header=args.header)
+        manifest = (
+            None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
+        )
     with _stage("pretrain"):
-        spec = autoencoder.AutoencoderSpec(
-            input_dim=features.d,
-            encoder_dims=_parse_dims(args.encoder_dims),
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            optimizer=_adam_config(args),
-        )
-        rng = Rng(args.seed)
-        params = autoencoder.build(spec, rng)
-        params, report = autoencoder.pretrain(params, features, spec, rng)
-        with _artifact(out("autoencoder.delc")) as target:
-            save_checkpoint(
-                target,
-                Checkpoint(params=params, seed=args.seed, phase="pretrain", epoch=spec.epochs),
-            )
-        with _artifact(out("pretrain_loss.csv")) as target:
-            report.write_csv(target)
+        ckpt = _pretrain(args, features, out("autoencoder.delc"), out("pretrain_loss.csv"))
     with _stage("cluster"):
-        encoder = autoencoder.encoder_part(params)
-        result = dec_fit(features, encoder, dec_config, Rng(args.seed))
-        assignments = ClusterAssignments(
-            ids=features.ids, hard=result.state.hard, q=result.state.q
+        assignments, embedded = _cluster(
+            args, config, features, _encoder_of(ckpt), out("assignments.csv"),
+            out("model.delc"), out("history.csv"), out("embedded.delf"),
         )
-        with _artifact(out("assignments.csv")) as target:
-            write_assignments(assignments, target)
-        with _artifact(out("model.delc")) as target:
-            save_checkpoint(
-                target,
-                Checkpoint(
-                    params=result.encoder,
-                    seed=args.seed,
-                    phase="dec",
-                    epoch=result.history.iterations_run,
-                    centroids=result.centroids,
-                ),
-            )
-        with _artifact(out("history.csv")) as target:
-            result.history.write_csv(target)
-        embedded = autoencoder.encode(result.encoder, features)
-        embedded_matrix = FeatureMatrix(values=embedded, ids=features.ids)
-        with _artifact(out("embedded.delf")) as target:
-            write_features(embedded_matrix, target, fmt="binary")
     with _stage("eval"):
-        style, genre = _truths(features, manifest, "both")
-        report = evaluate(
-            embedded,
-            result.state.hard,
-            "embedded",
-            style_truth=style,
-            genre_truth=genre,
-        )
-        with _artifact(out("report.json")) as target:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+        _evaluate(embedded, assignments, manifest, "both", "embedded", out("report.json"))
     with _stage("project"):
-        by_cluster = {
-            i: int(h) for i, h in zip(features.ids, result.state.hard)
-        }
-        sample = (
-            stratified_sample(embedded_matrix, by_cluster, args.fraction, args.seed)
-            if args.fraction < 1.0
-            else embedded_matrix
+        tsne = TsneConfig(
+            perplexity=args.perplexity, iterations=args.tsne_iterations, seed=args.seed
         )
-        config = TsneConfig(
-            perplexity=args.perplexity,
-            iterations=args.tsne_iterations,
-            seed=args.seed,
-        )
-        coords = tsne_embed(sample.values, config)
-        with _artifact(out("xy.csv")) as target:
-            _write_xy(target, sample.ids, coords, pca_style=False)
+        strata = _cluster_strata(embedded.ids, assignments)
+        ids, coords = _project(embedded, strata, args.fraction, args.seed, out("xy.csv"), tsne)
     with _stage("plot"):
-        sample_rows = {i: r for r, i in enumerate(features.ids)}
-        labels = np.array(
-            [result.state.hard[sample_rows[i]] for i in sample.ids], dtype=np.int64
-        )
-        svg = render_scatter(ScatterSpec(points=coords, labels=labels))
-        with _artifact(out("scatter.svg")) as target:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+        _plot(ids, coords, assignments, out("scatter.svg"))
     _write_manifest(
         out("manifest.json"), "run", args, [args.features, args.labels_manifest], started
     )

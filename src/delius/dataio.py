@@ -15,6 +15,8 @@ Formats handled here:
   marks the id as unlabeled in that column.
 * Cluster assignments: CSV with header ``id,cluster,q_0..q_{k-1}``
   where the soft-assignment columns are optional.
+* Projection coordinates: CSV with header ``id,x,y`` (t-SNE) or
+  ``id,c_1..c_r`` (PCA); readers take the first two coordinates.
 
 Everything is float64 in memory; f32 payloads are widened on read and
 narrowed again only when explicitly written as f32.  Arrays held by the
@@ -240,6 +242,16 @@ def _write_id_sidecar(path: str, ids: tuple[str, ...]) -> None:
             fh.write(i + "\n")
 
 
+def _csv_rows(path: str, what: str) -> list[list[str]]:
+    """Every row of a CSV file; a missing file is a configuration error."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}")
+    with fh:
+        return list(csv.reader(fh))
+
+
 def _infer_format(path: str) -> str:
     lowered = path.lower()
     if lowered.endswith(".csv"):
@@ -271,13 +283,7 @@ def read_features(path: str, fmt: str = "auto", header: bool = False) -> Feature
 
 
 def _read_features_csv(path: str, header: bool) -> FeatureMatrix:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"features file not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = _csv_rows(path, "features file")
     if header and rows:
         rows = rows[1:]
     rows = [r for r in rows if r]
@@ -396,13 +402,7 @@ class LabelManifest:
 
 
 def read_label_manifest(path: str) -> LabelManifest:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"label manifest not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = _csv_rows(path, "label manifest")
     if not rows or rows[0] != _MANIFEST_HEADER:
         raise FormatError(f"{path}: first row must be the header 'id,style,genre'")
     out = []
@@ -446,6 +446,15 @@ def labels_for(
         elif require_cover:
             raise DataError(f"id {i!r} has no {column} label")
     return np.array(rows, dtype=np.int64), np.array(classes, dtype=np.int64)
+
+
+def truth_labels(manifest: LabelManifest | None, matrix: FeatureMatrix, column: str = "both"):
+    """(style, genre) ``labels_for`` pairs; None for a column not asked for or no manifest."""
+    if manifest is None:
+        return None, None
+    style = labels_for(manifest, matrix, "style") if column in ("style", "both") else None
+    genre = labels_for(manifest, matrix, "genre") if column in ("genre", "both") else None
+    return style, genre
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +527,7 @@ def write_assignments(assignments: ClusterAssignments, path: str) -> None:
 
 
 def read_assignments(path: str) -> ClusterAssignments:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"assignments file not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = _csv_rows(path, "assignments file")
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = rows[0]
@@ -556,6 +559,52 @@ def read_assignments(path: str) -> ClusterAssignments:
         raise FormatError(f"{path}: no data rows")
     q = np.array(q_rows, dtype=np.float64) if q_rows is not None else None
     return ClusterAssignments(ids=tuple(ids), hard=np.array(hard, dtype=np.int64), q=q)
+
+
+def cluster_labels(ids: Sequence[str], assignments: ClusterAssignments) -> np.ndarray:
+    """The hard cluster label of each id, in the order given."""
+    rows = {i: r for r, i in enumerate(assignments.ids)}
+    labels = np.empty(len(ids), dtype=np.int64)
+    for r, i in enumerate(ids):
+        if i not in rows:
+            raise DataError(f"id {i!r} has no cluster assignment")
+        labels[r] = assignments.hard[rows[i]]
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# projection coordinates
+
+
+def write_xy(path: str, ids: Sequence[str], coords: np.ndarray, pca_style: bool) -> None:
+    header = ["id"] + (
+        [f"c_{j + 1}" for j in range(coords.shape[1])] if pca_style else ["x", "y"]
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, row in zip(ids, coords):
+            writer.writerow([i] + [repr(float(v)) for v in row])
+
+
+def read_xy(path: str) -> tuple[list[str], np.ndarray]:
+    rows = [r for r in _csv_rows(path, "projection file") if r]
+    if len(rows) < 2:
+        raise FormatError(f"{path}: no data rows")
+    if rows[0][0] != "id" or len(rows[0]) < 3:
+        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
+    ids = []
+    coords = np.empty((len(rows) - 1, 2), dtype=np.float64)
+    for r, row in enumerate(rows[1:]):
+        if len(row) != len(rows[0]):
+            raise FormatError(f"{path}: row {r + 2} has {len(row)} columns")
+        ids.append(row[0])
+        try:
+            coords[r, 0] = float(row[1])
+            coords[r, 1] = float(row[2])
+        except ValueError:
+            raise FormatError(f"{path}: row {r + 2}: cannot parse coordinates")
+    return ids, coords
 
 
 # ---------------------------------------------------------------------------

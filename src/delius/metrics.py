@@ -35,12 +35,13 @@ def _check_points_labels(points: np.ndarray, labels: np.ndarray):
     return points, labels.astype(np.int64)
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+def sq_distance_matrix(points: np.ndarray) -> np.ndarray:
+    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal."""
     sq = np.einsum("nd,nd->n", points, points)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    return d2
 
 
 def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
@@ -51,7 +52,7 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     k = len(clusters)
     if not 2 <= k <= n - 1:
         raise ConfigError(f"silhouette needs 2 <= clusters <= n - 1, got k={k}, n={n}")
-    dist = _pairwise_distances(points)
+    dist = np.sqrt(sq_distance_matrix(points))
     sums = np.empty((n, k))
     counts = np.empty(k)
     for ci, c in enumerate(clusters):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .metrics import sq_distance_matrix
 from .rng import Rng
 
 _ENTROPY_TOL = 1e-5
@@ -123,14 +124,6 @@ class TsneConfig:
             )
 
 
-def _sq_distance_matrix(points: np.ndarray) -> np.ndarray:
-    sq = np.einsum("nd,nd->n", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def _conditional_row(d2_row: np.ndarray, i: int, beta: float) -> np.ndarray:
     logits = -beta * d2_row
     logits[i] = -np.inf
@@ -153,7 +146,7 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    d2 = _sq_distance_matrix(points)
+    d2 = sq_distance_matrix(points)
     target = math.log(perplexity)
     cond = np.zeros((n, n))
     for i in range(n):
@@ -181,7 +174,7 @@ def lowdim_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     n = y.shape[0]
     if p.shape != (n, n):
         raise ShapeError(f"affinity shape {p.shape} does not match {n} points")
-    d2 = _sq_distance_matrix(y)
+    d2 = sq_distance_matrix(y)
     w = 1.0 / (1.0 + d2)
     np.fill_diagonal(w, 0.0)
     q = w / w.sum()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from delius import autoencoder
+from delius import autoencoder, neural
 from delius.autoencoder import AutoencoderSpec
 from delius.baselines import run_ae_kmeans, run_pca_kmeans
 from delius.dataio import FeatureMatrix, LabelManifest
@@ -73,7 +73,7 @@ def test_ae_baseline_reports_embedded_space():
     fm, truth = _blobs(seed=3)
     params = _pretrained(fm)
     manifest = _manifest_for(fm, truth)
-    run = run_ae_kmeans(fm, params, 3, seed=11, manifest=manifest)
+    run = run_ae_kmeans(fm, autoencoder.encoder_part(params), 3, seed=11, manifest=manifest)
     assert run.strategy == "ae_kmeans"
     assert run.report.space_tag == "embedded"
     assert run.reduced_dim == 2
@@ -81,14 +81,13 @@ def test_ae_baseline_reports_embedded_space():
     assert run.report.acc_style == 1.0
 
 
-def test_ae_baseline_accepts_encoder_only_params():
+def test_ae_baseline_embeds_with_the_given_encoder():
     fm, _ = _blobs(seed=4)
-    params = _pretrained(fm)
-    encoder = autoencoder.encoder_part(params)
-    full = run_ae_kmeans(fm, params, 3, seed=2)
-    half = run_ae_kmeans(fm, encoder, 3, seed=2)
-    assert np.array_equal(full.labels, half.labels)
-    assert np.array_equal(full.points, half.points)
+    encoder = autoencoder.encoder_part(_pretrained(fm))
+    run = run_ae_kmeans(fm, encoder, 3, seed=2)
+    _, oracle = neural.forward(encoder, fm.values)
+    assert np.array_equal(run.points, oracle)
+    assert np.array_equal(run.labels, kmeans_fit(oracle, 3, Rng(2)).labels)
 
 
 def test_ae_baseline_matches_joint_initialisation():

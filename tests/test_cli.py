@@ -270,6 +270,20 @@ def test_project_tsne_stratified(workspace, tmp_path):
     assert counts == {j: N_PER // 2 for j in range(K)}
 
 
+def test_project_stratify_uncovered_id_exit_3(workspace, tmp_path, capsys):
+    lines = open(workspace["assignments"]).read().splitlines()
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(lines[:-1]) + "\n")  # drops the last id
+    code = main(
+        ["project", "--features", workspace["embedded"], "--method", "pca",
+         "--fraction", "0.5", "--assignments", str(partial),
+         "--out", str(tmp_path / "xy.csv")]
+    )
+    assert code == 3
+    assert workspace["fm"].ids[-1] in capsys.readouterr().err
+    assert not (tmp_path / "xy.csv").exists()
+
+
 def test_plot_renders_svg(workspace, tmp_path):
     xy = str(tmp_path / "xy.csv")
     assert main(
@@ -284,6 +298,26 @@ def test_plot_renders_svg(workspace, tmp_path):
     root = ET.parse(out).getroot()
     circles = root.findall("{http://www.w3.org/2000/svg}circle")
     assert len(circles) == K * N_PER
+
+
+def test_plot_process_loads_no_training_modules(workspace, tmp_path):
+    xy = tmp_path / "xy.csv"
+    xy.write_text(f"id,x,y\n{workspace['fm'].ids[0]},1.0,2.0\n")
+    probe = (
+        "import sys\n"
+        "from delius.cli import main\n"
+        f"code = main(['plot', '--xy', {str(xy)!r}, '--assignments',"
+        f" {workspace['assignments']!r}, '--out', {str(tmp_path / 's.svg')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m in"
+        " ('delius.dec', 'delius.kmeans', 'delius.neural', 'delius.autoencoder')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(delius.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 []"
 
 
 def test_plot_missing_id_fails_with_data_error(workspace, tmp_path, capsys):
@@ -336,6 +370,91 @@ def test_run_produces_all_artifacts(workspace, tmp_path):
     assert model.phase == "dec"
     header = (outdir / "xy.csv").read_text().splitlines()[0]
     assert header == "id,x,y"
+
+
+RUN_ARTIFACTS = (
+    "autoencoder.delc", "pretrain_loss.csv", "assignments.csv", "model.delc",
+    "history.csv", "embedded.delf", "embedded.delf.ids", "report.json", "xy.csv",
+    "scatter.svg",
+)
+
+
+def test_run_equals_chained_subcommands(workspace, tmp_path):
+    features, manifest = workspace["features"], workspace["manifest"]
+    shared = ["--batch-size", "32", "--lr", "0.005", "--seed", "7"]
+    tsne = ["--perplexity", "4", "--fraction", "0.5"]
+    run_dir = tmp_path / "run"
+    assert main(
+        ["run", "--features", features, "--k", str(K), "--labels-manifest", manifest,
+         "--encoder-dims", ENCODER, "--epochs", "12", "--update-interval", "20",
+         "--max-iterations", "400", "--tsne-iterations", "40", "--outdir", str(run_dir)]
+        + shared + tsne
+    ) == 0
+
+    chain = lambda name: str(tmp_path / "chain" / name)
+    os.makedirs(tmp_path / "chain")
+    for argv in (
+        ["pretrain", "--features", features, "--encoder-dims", ENCODER, "--epochs", "12",
+         "--out-checkpoint", chain("autoencoder.delc"),
+         "--out-loss-curve", chain("pretrain_loss.csv")] + shared,
+        ["cluster", "--features", features, "--ae-checkpoint", chain("autoencoder.delc"),
+         "--k", str(K), "--update-interval", "20", "--max-iterations", "400",
+         "--out-assignments", chain("assignments.csv"), "--out-checkpoint", chain("model.delc"),
+         "--out-history", chain("history.csv"), "--out-embedded", chain("embedded.delf")]
+        + shared,
+        ["eval", "--points", chain("embedded.delf"), "--assignments", chain("assignments.csv"),
+         "--labels-manifest", manifest, "--out", chain("report.json"), "--seed", "7"],
+        ["project", "--features", chain("embedded.delf"), "--method", "tsne",
+         "--iterations", "40", "--assignments", chain("assignments.csv"),
+         "--out", chain("xy.csv"), "--seed", "7"] + tsne,
+        ["plot", "--xy", chain("xy.csv"), "--assignments", chain("assignments.csv"),
+         "--out", chain("scatter.svg"), "--seed", "7"],
+    ):
+        assert main(argv) == 0, argv[0]
+    for name in RUN_ARTIFACTS:
+        assert _checksum(run_dir / name) == _checksum(chain(name)), name
+
+
+def _palindromic_pretrain(workspace, tmp_path):
+    # --encoder-dims 4,8 on 8-d features mirrors to 8-4-8-4-8, so the
+    # encoder 8-4-8 reads the same forwards and backwards.
+    ckpt = str(tmp_path / "ae.delc")
+    assert main(
+        ["pretrain", "--features", workspace["features"], "--out-checkpoint", ckpt,
+         "--encoder-dims", "4,8", "--epochs", "2", "--batch-size", "32", "--seed", "7"]
+    ) == 0
+    return ckpt
+
+
+def test_run_palindromic_encoder_embeds_through_whole_encoder(workspace, tmp_path):
+    outdir = tmp_path / "out"
+    assert main(
+        ["run", "--features", workspace["features"], "--k", str(K),
+         "--encoder-dims", "4,8", "--epochs", "2", "--batch-size", "32",
+         "--max-iterations", "40", "--update-interval", "20", "--fraction", "0.5",
+         "--perplexity", "4", "--tsne-iterations", "20", "--outdir", str(outdir)]
+    ) == 0
+    model = load_checkpoint(str(outdir / "model.delc"))
+    assert model.params.dims() == [DIM, 4, DIM]
+    assert model.centroids.shape == (K, DIM)
+    assert read_features(str(outdir / "embedded.delf")).values.shape == (K * N_PER, DIM)
+
+
+def test_cluster_palindromic_encoder_keeps_chain(workspace, tmp_path):
+    ckpt = _palindromic_pretrain(workspace, tmp_path)
+    flags = ["--k", str(K), "--max-iterations", "40", "--update-interval", "20",
+             "--batch-size", "32", "--seed", "7"]
+    for source, name in ((ckpt, "first"), (str(tmp_path / "first.delc"), "second")):
+        assert main(
+            ["cluster", "--features", workspace["features"], "--ae-checkpoint", source,
+             "--out-assignments", str(tmp_path / f"{name}.csv"),
+             "--out-checkpoint", str(tmp_path / f"{name}.delc"),
+             "--out-embedded", str(tmp_path / f"{name}.delf")] + flags
+        ) == 0
+        # a pretrain checkpoint gives its encoder half, a joint one its stored chain
+        assert load_checkpoint(str(tmp_path / f"{name}.delc")).params.dims() == [DIM, 4, DIM]
+        embedded = read_features(str(tmp_path / f"{name}.delf"))
+        assert embedded.values.shape == (K * N_PER, DIM)
 
 
 def test_run_rejects_bad_k_before_work(tmp_path, workspace, capsys):
