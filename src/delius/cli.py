@@ -394,13 +394,13 @@ def _cluster_strata(ids, assignments) -> dict:
 
 def _stratify_labels(args, features):
     from .dataio import read_assignments, read_label_manifest
-    from .errors import ConfigError
+    from .errors import DataError
 
     if args.labels_manifest:
         mapping = read_label_manifest(args.labels_manifest).label_map(args.label_column)
         missing = [i for i in features.ids if i not in mapping]
         if missing:
-            raise ConfigError(
+            raise DataError(
                 f"cannot stratify: id {missing[0]!r} has no {args.label_column} label"
             )
         return {i: mapping[i] for i in features.ids}

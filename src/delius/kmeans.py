@@ -35,9 +35,14 @@ class KmeansResult:
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # Direct differences keep exact ties exact, which the lowest-index
-    # tie rule in assign() relies on.
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkm,nkm->nk", diff, diff)
+    # tie rule in assign() relies on.  One centroid at a time: an n x m
+    # difference instead of an n x k x m one, with the same sums.
+    out = np.empty((centers.shape[0], points.shape[0]))
+    diff = np.empty_like(points)
+    for j, center in enumerate(centers):
+        np.subtract(points, center, out=diff)
+        np.einsum("nm,nm->n", diff, diff, out=out[j])
+    return out.T
 
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -98,8 +103,10 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
         if (counts == 0).any():
             labels = _repair_empty(points, centroids, labels, dists)
             counts = np.bincount(labels, minlength=k)
-        new_centroids = np.zeros_like(centroids)
-        np.add.at(new_centroids, labels, points)
+        # Each column's cluster sums add the rows in index order, as np.add.at would.
+        new_centroids = np.empty((k, points.shape[1]))
+        for c, col in enumerate(points.T):
+            new_centroids[:, c] = np.bincount(labels, weights=col, minlength=k)
         new_centroids /= counts[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 
+_BLOCK_ROWS = 1024  # rows per block of the n x n passes: their scratch is _BLOCK_ROWS x n
+
 
 def _check_points_labels(points: np.ndarray, labels: np.ndarray):
     points = np.asarray(points, dtype=np.float64)
@@ -35,41 +37,66 @@ def _check_points_labels(points: np.ndarray, labels: np.ndarray):
     return points, labels.astype(np.int64)
 
 
-def sq_distance_matrix(points: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal."""
+def sq_distance_matrix(
+    points: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal.
+
+    One n x n array is allocated, or ``out`` is filled: the Gram matrix,
+    doubled in place, then ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` written
+    back over it one block of rows at a time, the same float operations
+    in the same order as the whole-matrix broadcast.  ``scratch``, if
+    given, holds the blocks; it needs min(1024, n) rows of n.
+    """
+    n = points.shape[0]
     sq = np.einsum("nd,nd->n", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    out = np.matmul(points, points.T, out=out)
+    out *= 2.0
+    pair = np.empty((min(_BLOCK_ROWS, n), n)) if scratch is None else scratch
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = out[start : start + _BLOCK_ROWS]
+        block = pair[: rows.shape[0]]
+        np.add(sq[start : start + _BLOCK_ROWS, None], sq[None, :], out=block)
+        np.subtract(block, rows, out=rows)
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over all points."""
+    """Mean silhouette over all points.
+
+    A point's distance sum to each cluster adds that cluster's members
+    one at a time in index order: one weighted ``bincount`` per block of
+    rows, with a bin for every (row, cluster) pair.
+    """
     points, labels = _check_points_labels(points, labels)
     n = points.shape[0]
-    clusters = np.unique(labels)
+    clusters, own, counts = np.unique(labels, return_inverse=True, return_counts=True)
     k = len(clusters)
     if not 2 <= k <= n - 1:
         raise ConfigError(f"silhouette needs 2 <= clusters <= n - 1, got k={k}, n={n}")
-    dist = np.sqrt(sq_distance_matrix(points))
+    dist = sq_distance_matrix(points)
+    np.sqrt(dist, out=dist)
+    bins = own + k * np.arange(min(_BLOCK_ROWS, n))[:, None]
     sums = np.empty((n, k))
-    counts = np.empty(k)
-    for ci, c in enumerate(clusters):
-        members = labels == c
-        sums[:, ci] = dist[:, members].sum(axis=1)
-        counts[ci] = members.sum()
-    own = np.searchsorted(clusters, labels)
-    scores = np.zeros(n)
-    for i in range(n):
-        ci = own[i]
-        if counts[ci] == 1:
-            continue  # singleton clusters score 0 by convention
-        a = sums[i, ci] / (counts[ci] - 1)
-        other = [sums[i, cj] / counts[cj] for cj in range(k) if cj != ci]
-        b = min(other)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = dist[start : start + _BLOCK_ROWS]
+        m = rows.shape[0]
+        sums[start : start + m] = np.bincount(
+            bins[:m].ravel(), weights=rows.ravel(), minlength=m * k
+        ).reshape(m, k)
+    counts = counts.astype(np.float64)
+    size = counts[own]
+    index = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[index, own] / (size - 1.0)
+        nearest = sums / counts
+        nearest[index, own] = np.inf
+        b = nearest.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = (b - a) / denom
+    scores[(size == 1.0) | (denom == 0.0)] = 0.0  # singleton clusters score 0 by convention
     return float(scores.mean())
 
 

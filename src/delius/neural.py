@@ -358,6 +358,9 @@ def _check_preamble(path: str, preamble, off: int) -> None:
         bad("activations must be a list of strings")
     if len(activations) != len(dims) - 1:
         bad(f"{len(activations)} activations for {len(dims)} layer sizes")
+    for activation in activations:
+        if activation not in ACTIVATIONS:
+            bad(f"unknown activation {activation!r}")
     if not _is_int(preamble["seed"]) or not _is_int(preamble["epoch"]):
         bad("seed and epoch must be integers")
     if preamble["phase"] not in PHASES:
@@ -416,6 +419,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             .astype(np.float64)
             .reshape(shape)
         )
+        if not np.isfinite(arrays[block["name"]]).all():
+            raise FormatError(
+                f"{path}: block {block['name']!r} at byte offset {off} holds non-finite values"
+            )
         off += nbytes
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte offset {off}")
@@ -428,14 +435,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             b = arrays[f"layer{i}.b"]
         except KeyError as exc:
             raise FormatError(f"{path}: missing parameter block {exc}")
-        layers.append(DenseLayer(w=w.copy(), b=b.copy(), activation=activations[i]))
-    centroids = arrays.get("centroids")
-    if centroids is not None:
-        centroids = centroids.copy()
+        if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
+            raise FormatError(
+                f"{path}: layer {i} blocks have shapes {w.shape} and {b.shape}, "
+                f"layer_dims say {dims[i]} -> {dims[i + 1]}"
+            )
+        layers.append(DenseLayer(w=w, b=b, activation=activations[i]))
     return Checkpoint(
         params=MlpParams(layers=layers),
         seed=int(preamble["seed"]),
         phase=preamble["phase"],
         epoch=int(preamble["epoch"]),
-        centroids=centroids,
+        centroids=arrays.get("centroids"),
     )

@@ -174,15 +174,29 @@ def lowdim_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     n = y.shape[0]
     if p.shape != (n, n):
         raise ShapeError(f"affinity shape {p.shape} does not match {n} points")
-    d2 = sq_distance_matrix(y)
-    w = 1.0 / (1.0 + d2)
-    np.fill_diagonal(w, 0.0)
+    w = np.empty((n, n))
+    grad = _tsne_gradient(p, y, np.empty((n, n)), w)
     q = w / w.sum()
-    pq = (p - q) * w
-    grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
     mask = p > 0.0
     kl = float((p[mask] * np.log(p[mask] / q[mask])).sum())
     return grad, kl
+
+
+def _tsne_gradient(p: np.ndarray, y: np.ndarray, scratch: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The KL gradient in the embedding, computed in two n x n buffers.
+
+    ``w`` is left holding the Student-t kernel weights with a zero
+    diagonal; ``scratch`` is overwritten.  ``tsne_embed`` allocates both
+    once per call and never computes the divergence.
+    """
+    sq_distance_matrix(y, out=w, scratch=scratch)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    np.fill_diagonal(w, 0.0)
+    pq = np.divide(w, w.sum(), out=scratch)
+    np.subtract(p, pq, out=pq)
+    pq *= w
+    return 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
 
 
 def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
@@ -200,12 +214,13 @@ def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
     rng = Rng(config.seed)
     y = rng.normal((n, 2), std=1e-4)
     velocity = np.zeros_like(y)
+    scratch, w = np.empty((n, n)), np.empty((n, n))
     for it in range(config.iterations):
         if exaggerated and it >= _EXAGGERATION_UNTIL:
             p = p / config.early_exaggeration
             exaggerated = False
         momentum = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
-        grad, _ = lowdim_gradient(p, y)
+        grad = _tsne_gradient(p, y, scratch, w)
         velocity = momentum * velocity - config.learning_rate * grad
         y = y + velocity
         y = y - y.mean(axis=0)

@@ -260,6 +260,25 @@ def test_kl_monotonic_at_refresh_boundaries(blob_run, capsys):
     assert fraction >= 0.9
 
 
+def test_kl_monotonic_at_refresh_boundaries_on_manifold(manifold_seed0, capsys):
+    # The blob run converges after one refresh pair; this run of the
+    # overlapping manifold keeps refreshing until its iteration cap.
+    fm, enc = manifold_seed0
+    cfg = DecConfig(k=8, update_interval=40, max_iterations=600)
+    result = dec_fit(fm, enc.copy(), cfg, Rng(0))
+    values = [rec.kl_full for rec in result.history.records]
+    pairs = list(zip(values, values[1:]))
+    assert len(pairs) >= 10
+    good = sum(1 for prev, nxt in pairs if nxt < prev or (nxt - prev) / prev < 0.05)
+    fraction = good / len(pairs)
+    ok = fraction >= 0.9
+    _verdict(
+        capsys, "divergence monotone at refreshes (manifold)",
+        ok, f"{good}/{len(pairs)} boundary pairs, values {[round(v, 4) for v in values]}",
+    )
+    assert fraction >= 0.9
+
+
 # ---------------------------------------------------------------------------
 # 5. comparative embedding quality on a harder synthetic set
 
@@ -293,18 +312,26 @@ def make_manifold(seed, n_per=100, d=32):
     return FeatureMatrix.from_array(x)
 
 
-def test_comparative_embedding_quality(capsys):
+def _pretrained_manifold(seed):
+    """The manifold of ``seed`` and a 64-32-4 encoder pretrained on it."""
+    fm = make_manifold(seed)
+    spec = AutoencoderSpec(input_dim=32, encoder_dims=(64, 32, 4), batch_size=256, epochs=30)
+    params, _ = pretrain(build(spec, Rng(seed)), fm, spec, Rng(seed))
+    return fm, encoder_part(params)
+
+
+@pytest.fixture(scope="module")
+def manifold_seed0():
+    return _pretrained_manifold(0)
+
+
+def test_comparative_embedding_quality(manifold_seed0, capsys):
     t0 = time.perf_counter()
     wins = 0
     scores = []
     for seed in range(5):
-        fm = make_manifold(seed)
-        spec = AutoencoderSpec(
-            input_dim=32, encoder_dims=(64, 32, 4), batch_size=256, epochs=30
-        )
-        params = build(spec, Rng(seed))
-        params, _ = pretrain(params, fm, spec, Rng(seed))
-        enc = encoder_part(params)
+        fm, enc = manifold_seed0 if seed == 0 else _pretrained_manifold(seed)
+        enc = enc.copy()  # dec_fit updates the encoder in place
         z0 = encode(enc, fm)
         km = kmeans_fit(z0, 8, Rng(seed), restarts=20)
         sc_ae = silhouette(z0, km.labels)

@@ -284,6 +284,22 @@ def test_project_stratify_uncovered_id_exit_3(workspace, tmp_path, capsys):
     assert not (tmp_path / "xy.csv").exists()
 
 
+def test_project_stratify_unlabelled_id_exit_3(tmp_path, capsys):
+    fm = FeatureMatrix.from_array(Rng(3).normal((20, 4)))
+    features = str(tmp_path / "features.delf")
+    write_features(fm, features)
+    manifest = tmp_path / "labels.csv"
+    rows = [f"{i},s{r % 2},g0" for r, i in enumerate(fm.ids[:-1])]  # the last id has no row
+    manifest.write_text("id,style,genre\n" + "\n".join(rows) + "\n")
+    code = main(
+        ["project", "--features", features, "--method", "pca", "--fraction", "0.5",
+         "--labels-manifest", str(manifest), "--out", str(tmp_path / "xy.csv")]
+    )
+    assert code == 3
+    assert f"id {fm.ids[-1]!r} has no style label" in capsys.readouterr().err
+    assert not (tmp_path / "xy.csv").exists()
+
+
 def test_plot_renders_svg(workspace, tmp_path):
     xy = str(tmp_path / "xy.csv")
     assert main(
@@ -512,6 +528,39 @@ def test_malformed_checkpoint_preamble_exit_3(workspace, tmp_path, capsys, pream
     )
     assert code == 3
     assert "bad.delc: preamble" in capsys.readouterr().err
+
+
+def _wrong_dims(preamble, payload):
+    preamble["layer_dims"] = [d + 1 for d in preamble["layer_dims"]]
+    return preamble, payload
+
+
+def _nan_weight(preamble, payload):
+    return preamble, payload[:8] + struct.pack("<d", float("nan")) + payload[16:]
+
+
+def _tanh(preamble, payload):
+    preamble["activations"][0] = "tanh"
+    return preamble, payload
+
+
+@pytest.mark.parametrize("edit", [_wrong_dims, _nan_weight, _tanh],
+                         ids=["layer-dims", "nan-weight", "activation"])
+def test_inconsistent_checkpoint_exit_3(workspace, tmp_path, capsys, edit):
+    data = open(workspace["ae"], "rb").read()
+    (length,) = struct.unpack("<I", data[6:10])
+    preamble, payload = edit(json.loads(data[10 : 10 + length]), data[10 + length :])
+    raw = json.dumps(preamble).encode("utf-8")
+    ckpt = tmp_path / "bad.delc"
+    ckpt.write_bytes(data[:6] + struct.pack("<I", len(raw)) + raw + payload)
+    code = main(
+        ["cluster", "--features", workspace["features"], "--ae-checkpoint", str(ckpt),
+         "--out-assignments", str(tmp_path / "a.csv"),
+         "--out-checkpoint", str(tmp_path / "m.delc")] + CLUSTER_FLAGS
+    )
+    assert code == 3
+    assert "bad.delc" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delius import kmeans
 from delius.errors import ConfigError, DataError
 from delius.kmeans import assign, kmeans_fit
 from delius.rng import Rng
@@ -152,3 +153,111 @@ def test_labels_in_range_and_inertia_consistent(seed, k):
     assert result.inertia == pytest.approx(_inertia(points, result.labels, k), rel=1e-9)
     # labels are the nearest-centroid assignment of the final centroids
     assert np.array_equal(result.labels, assign(points, result.centroids))
+
+
+# ---------------------------------------------------------------------------
+# The Lloyd kernels against frozen copies of their earlier, allocation-heavy
+# forms: the rewrites must keep every bit.
+
+
+def _frozen_sq_distances(points, centers):
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("nkm,nkm->nk", diff, diff)
+
+
+def _frozen_plusplus_init(points, k, rng):
+    n = points.shape[0]
+    chosen = [rng.below(n)]
+    closest = _frozen_sq_distances(points, points[chosen[-1]][None, :])[:, 0]
+    while len(chosen) < k:
+        total = float(closest.sum())
+        if total > 0.0:
+            idx = rng.weighted_index(closest)
+        else:
+            idx = rng.below(n)
+        chosen.append(idx)
+        d_new = _frozen_sq_distances(points, points[idx][None, :])[:, 0]
+        closest = np.minimum(closest, d_new)
+    return points[np.array(chosen)].copy()
+
+
+def _frozen_lloyd(points, k, rng, max_iters, tol):
+    centroids = _frozen_plusplus_init(points, k, rng)
+    dists = _frozen_sq_distances(points, centroids)
+    labels = np.argmin(dists, axis=1).astype(np.int64)
+    inertia = float(dists[np.arange(points.shape[0]), labels].sum())
+    history = [inertia]
+    n_iter = 0
+    repairs = 0
+    for n_iter in range(1, max_iters + 1):
+        counts = np.bincount(labels, minlength=k)
+        if (counts == 0).any():
+            repairs += 1
+            labels = kmeans._repair_empty(points, centroids, labels, dists)
+            counts = np.bincount(labels, minlength=k)
+        new_centroids = np.zeros_like(centroids)
+        np.add.at(new_centroids, labels, points)
+        new_centroids /= counts[:, None]
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        dists = _frozen_sq_distances(points, centroids)
+        new_labels = np.argmin(dists, axis=1).astype(np.int64)
+        inertia = float(dists[np.arange(points.shape[0]), new_labels].sum())
+        history.append(inertia)
+        done = bool((new_labels == labels).all()) or shift < tol
+        labels = new_labels
+        if done:
+            break
+    return (centroids, labels, inertia, n_iter, history), repairs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 50, 512])
+def test_sq_distances_bit_equal_to_frozen_kernel(m):
+    rng = Rng(40 + m)
+    points = rng.normal((300, m))
+    points[7] = points[3]  # a duplicate row gives exact zeros and ties
+    for centers in (rng.normal((1, m)), rng.normal((13, m)), points[[3, 7, 0]]):
+        for layout in (points, np.asfortranarray(points)):  # the sums follow the layout
+            expected = _frozen_sq_distances(layout, centers)
+            assert np.array_equal(kmeans._sq_distances(layout, centers), expected)
+
+
+def _blobs():
+    rng = Rng(50)
+    centers = 6.0 * rng.normal((5, 10))
+    return np.vstack([c + rng.normal((120, 10)) for c in centers])
+
+
+def _lattice():
+    # Small integers: centroids are exact rationals and many distances tie.
+    return np.array([[x, y] for x in range(5) for y in range(5)], dtype=np.float64)
+
+
+def _two_locations():
+    # k-means++ exhausts the two distinct points and then draws a
+    # duplicate centre, whose cluster is empty until repaired.
+    return np.array([[0.0, 0.0]] * 5 + [[9.0, 9.0]] * 5)
+
+
+@pytest.mark.parametrize(
+    "points, k, seed, repaired",
+    [(_blobs(), 5, 51, False), (_lattice(), 4, 52, False), (_two_locations(), 3, 53, True)],
+    ids=["blobs", "ties", "empty-cluster"],
+)
+def test_lloyd_bit_equal_to_frozen_step(points, k, seed, repaired):
+    for r in range(4):
+        got = kmeans._lloyd(points, k, Rng(seed + 100 * r), 300, 1e-6)
+        expected, repairs = _frozen_lloyd(points, k, Rng(seed + 100 * r), 300, 1e-6)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert np.array_equal(got[1], expected[1])
+        assert got[2].hex() == expected[2].hex()
+        assert got[3] == expected[3]
+        assert [v.hex() for v in got[4]] == [v.hex() for v in expected[4]]
+        assert (repairs > 0) == repaired
+
+
+def test_zero_width_points_fit():
+    result = kmeans_fit(np.empty((6, 0)), 2, Rng(0), restarts=2)
+    assert result.centroids.shape == (2, 0)
+    assert result.labels.shape == (6,)
+    assert result.inertia == 0.0

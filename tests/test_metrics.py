@@ -17,7 +17,9 @@ from delius.metrics import (
     clustering_accuracy,
     evaluate,
     silhouette,
+    sq_distance_matrix,
 )
+from delius.rng import Rng
 
 
 # Reference implementations: plain loops, no shared code with the
@@ -143,6 +145,58 @@ def test_silhouette_rejects_nonfinite_points():
     points = np.array([[0.0], [np.nan], [1.0]])
     with pytest.raises(DataError):
         silhouette(points, np.array([0, 1, 1]))
+
+
+# Frozen copies of the whole-matrix kernels that the blocked ones replaced:
+# the blocked forms must give the same bits, not just close values.
+
+
+def _frozen_sq_distance_matrix(points):
+    sq = np.einsum("nd,nd->n", points, points)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _frozen_silhouette(points, labels):
+    n = points.shape[0]
+    clusters = np.unique(labels)
+    k = len(clusters)
+    dist = np.sqrt(_frozen_sq_distance_matrix(points))
+    sums = np.empty((n, k))
+    counts = np.empty(k)
+    for ci, c in enumerate(clusters):
+        members = labels == c
+        sums[:, ci] = dist[:, members].sum(axis=1)
+        counts[ci] = members.sum()
+    own = np.searchsorted(clusters, labels)
+    scores = np.zeros(n)
+    for i in range(n):
+        ci = own[i]
+        if counts[ci] == 1:
+            continue
+        a = sums[i, ci] / (counts[ci] - 1)
+        other = [sums[i, cj] / counts[cj] for cj in range(k) if cj != ci]
+        b = min(other)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("n", [7, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("d, k", [(1, 2), (10, 5), (64, 37)])
+def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
+    k = min(k, n - 2)
+    rng = Rng(1000 * n + d)
+    points = rng.normal((n, d))
+    points[n // 2] = points[1]  # duplicate rows: exact zero distances
+    points[n - 2] = points[1]
+    labels = np.arange(n) % k * 3 + 2  # label values need not be 0..k-1
+    labels[rng.permutation(n)[: n // 3]] = 2 + 3 * (k - 1)
+    labels[-1] = -1  # a singleton cluster
+    assert np.array_equal(sq_distance_matrix(points), _frozen_sq_distance_matrix(points))
+    assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels).hex()
 
 
 # ---------------------------------------------------------------------------

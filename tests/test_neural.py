@@ -465,3 +465,45 @@ def test_checkpoint_malformed_preamble_rejected(tmp_path, edit):
     _rewrite_preamble(path, edit)
     with pytest.raises(FormatError, match="preamble at byte offset 10"):
         load_checkpoint(path)
+
+
+def _save_848(tmp_path):
+    path = str(tmp_path / "x.delc")
+    params = _net([8, 4, 8], ["relu", "identity"], seed=0)
+    save_checkpoint(path, Checkpoint(params=params, seed=0, phase="pretrain", epoch=1))
+    return path
+
+
+def test_checkpoint_layer_dims_must_match_block_shapes(tmp_path):
+    path = _save_848(tmp_path)
+
+    def edit(preamble):
+        preamble["layer_dims"] = [9, 5, 7]  # the blocks hold an 8-4-8 chain
+        return preamble
+
+    _rewrite_preamble(path, edit)
+    with pytest.raises(FormatError, match=r"layer 0 blocks have shapes \(4, 8\) and \(4,\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_block_rejected(tmp_path):
+    path = _save_848(tmp_path)
+    data = bytearray(open(path, "rb").read())
+    (length,) = struct.unpack("<I", data[6:10])
+    first_weight = 10 + length + 8  # past the preamble and layer0.w's length field
+    data[first_weight : first_weight + 8] = struct.pack("<d", float("nan"))
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(FormatError, match=f"'layer0.w' at byte offset {first_weight} holds non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_activation_rejected(tmp_path):
+    path = _save_848(tmp_path)
+
+    def edit(preamble):
+        preamble["activations"] = ["tanh", "identity"]
+        return preamble
+
+    _rewrite_preamble(path, edit)
+    with pytest.raises(FormatError, match="preamble at byte offset 10: unknown activation 'tanh'"):
+        load_checkpoint(path)

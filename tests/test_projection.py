@@ -199,6 +199,45 @@ def test_tsne_separates_distant_clusters():
     assert silhouette(y, labels) > 0.4
 
 
+def _frozen_tsne_loop(p, config, n):
+    """The embedding loop as it was with ``lowdim_gradient`` inside it,
+    every n x n temporary allocated afresh on each iteration."""
+
+    def gradient(p, y):
+        sq = np.einsum("nd,nd->n", y, y)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        w = 1.0 / (1.0 + d2)
+        np.fill_diagonal(w, 0.0)
+        q = w / w.sum()
+        pq = (p - q) * w
+        return 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+
+    p = p * config.early_exaggeration
+    exaggerated = True
+    y = Rng(config.seed).normal((n, 2), std=1e-4)
+    velocity = np.zeros_like(y)
+    for it in range(config.iterations):
+        if exaggerated and it >= 250:
+            p = p / config.early_exaggeration
+            exaggerated = False
+        momentum = 0.5 if it < 250 else 0.8
+        velocity = momentum * velocity - config.learning_rate * gradient(p, y)
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    return y
+
+
+@pytest.mark.parametrize("n, perplexity", [(7, 1.5), (100, 10.0), (300, 30.0)])
+def test_tsne_bit_equal_to_frozen_loop(n, perplexity):
+    points = Rng(n).normal((n, 6))
+    points[3] = points[0]  # a duplicate row: an exact zero distance
+    config = TsneConfig(perplexity=perplexity, iterations=300, seed=n)
+    expected = _frozen_tsne_loop(joint_affinities(points, perplexity), config, n)
+    assert np.array_equal(tsne_embed(points, config), expected)
+
+
 def test_tsne_validation():
     points = np.random.default_rng(14).normal(size=(10, 3))
     with pytest.raises(ConfigError):
