@@ -9,7 +9,6 @@ pretraining only the encoder half is kept for clustering.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .dataio import FeatureMatrix
+from .dataio import FeatureMatrix, _csv_writer
 from .errors import ConfigError, NumericError
 from .neural import AdamConfig, MlpParams
 from .rng import Rng
@@ -66,8 +65,7 @@ class PretrainReport:
     seed: int
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        with _csv_writer(path) as writer:
             writer.writerow(["epoch", "loss"])
             for epoch, loss in enumerate(self.losses):
                 writer.writerow([str(epoch), repr(loss)])
@@ -143,7 +141,7 @@ def pretrain(
                 err.last_good = last_good
                 raise err
             batch_losses.append(loss)
-            grads, _ = neural.backward(params, acts, neural.mse_grad(recon, xb))
+            grads = neural.backward(params, acts, neural.mse_grad(recon, xb))
             neural.adam_step(params, grads, state)
         losses.append(float(np.mean(batch_losses)))
         last_good = params.copy()

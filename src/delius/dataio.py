@@ -18,6 +18,10 @@ Formats handled here:
 * Projection coordinates: CSV with header ``id,x,y`` (t-SNE) or
   ``id,c_1..c_r`` (PCA); readers take the first two coordinates.
 
+Every reader rejects truncated, undecodable or oversized-field input
+with FormatError, naming the byte offset of a binary file or the row of
+a CSV file, counted from 1 with header and blank rows included.
+
 Everything is float64 in memory; f32 payloads are widened on read and
 narrowed again only when explicitly written as f32.  Arrays held by the
 container types are marked read-only so they can be shared safely.
@@ -26,9 +30,12 @@ container types are marked read-only so they can be shared safely.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -162,70 +169,102 @@ def global_average_pool(block: FeatureMapBlock) -> FeatureMatrix:
 # binary containers
 
 
-def _pack_header(magic: bytes, dtype_code: int, dims: Sequence[int]) -> bytes:
-    return magic + struct.pack("<HBB", _VERSION, dtype_code, 0) + b"".join(
-        struct.pack("<Q", dim) for dim in dims
-    )
+def read_bytes(path: str, what: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}")
 
 
-def _read_exact(data: bytes, offset: int, size: int, path: str, what: str) -> bytes:
-    if offset + size > len(data):
-        raise FormatError(
-            f"{path}: truncated {what} at byte offset {offset}: "
-            f"need {size} bytes, have {len(data) - offset}"
-        )
-    return data[offset : offset + size]
+class ByteReader:
+    """Bounds-checked cursor over a file's bytes: a short read is a FormatError."""
+
+    def __init__(self, data: bytes, path: str):
+        self.data = memoryview(data)
+        self.path = path
+        self.offset = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self.data) - self.offset
+
+    def take(self, size: int, what: str) -> memoryview:
+        """The next ``size`` bytes, as a view that copies nothing."""
+        if size > self.remaining:
+            raise FormatError(
+                f"{self.path}: truncated {what} at byte offset {self.offset}: "
+                f"need {size} bytes, have {self.remaining}"
+            )
+        self.offset += size
+        return self.data[self.offset - size : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def _parse_header(data: bytes, path: str, magic: bytes, n_dims: int):
-    off = 0
-    got = _read_exact(data, off, 4, path, "magic")
+def _read_container(path: str, magic: bytes, n_dims: int, what: str):
+    """(float64 values, ids) from a DELF or DELM file and its id sidecar."""
+    reader = ByteReader(read_bytes(path, what), path)
+    got = bytes(reader.take(4, "magic"))
     if got != magic:
         raise FormatError(f"{path}: bad magic {got!r} at byte offset 0, expected {magic!r}")
-    off = 4
-    (version,) = struct.unpack("<H", _read_exact(data, off, 2, path, "version"))
+    (version,) = reader.unpack("<H", "version")
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    off = 6
-    dtype_code = data[off]
+    (dtype_code,) = reader.unpack("<B", "dtype code")
     if dtype_code not in _DTYPE_CODES:
         raise FormatError(f"{path}: unknown dtype code {dtype_code} at byte offset 6")
-    off = 7
-    if data[off] != 0:
+    (reserved,) = reader.unpack("<B", "reserved byte")
+    if reserved != 0:
         raise FormatError(f"{path}: reserved byte must be 0 at byte offset 7")
-    off = 8
     dims = []
     for _ in range(n_dims):
-        (dim,) = struct.unpack("<Q", _read_exact(data, off, 8, path, "dimension"))
+        off = reader.offset
+        (dim,) = reader.unpack("<Q", "dimension")
         if dim == 0:
             raise FormatError(f"{path}: zero dimension at byte offset {off}")
         dims.append(dim)
-        off += 8
-    return _DTYPE_CODES[dtype_code], tuple(dims), off
-
-
-def _read_payload(data: bytes, off: int, dtype: np.dtype, dims: tuple[int, ...], path: str):
-    count = 1
-    for dim in dims:
-        count *= dim
-    expected = count * dtype.itemsize
-    if len(data) - off != expected:
+    dtype = _DTYPE_CODES[dtype_code]
+    size = math.prod(dims) * dtype.itemsize
+    if reader.remaining != size:
         raise FormatError(
-            f"{path}: payload size mismatch at byte offset {off}: "
-            f"expected {expected} bytes, found {len(data) - off}"
+            f"{path}: payload size mismatch at byte offset {reader.offset}: "
+            f"expected {size} bytes, found {reader.remaining}"
         )
-    flat = np.frombuffer(data, dtype=dtype, count=count, offset=off)
-    return flat.astype(np.float64).reshape(dims)
+    values = np.frombuffer(reader.take(size, "payload"), dtype).astype(np.float64).reshape(dims)
+    return values, _read_id_sidecar(path, dims[0]) or default_ids(dims[0])
+
+
+def _write_container(path: str, magic: bytes, values: np.ndarray, ids, dtype: str) -> None:
+    if dtype not in _DTYPE_NAMES:
+        raise ConfigError(f"unknown payload dtype {dtype!r}")
+    code = _DTYPE_NAMES[dtype]
+    payload = np.ascontiguousarray(values, dtype=_DTYPE_CODES[code])
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<HBB{payload.ndim}Q", _VERSION, code, 0, *payload.shape))
+        fh.write(payload.tobytes(order="C"))
+    _write_id_sidecar(path, ids)
+
+
+def _utf8(data: bytes, path: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: row {row}: invalid UTF-8 at byte offset {exc.start}")
 
 
 def _read_id_sidecar(path: str, n: int) -> tuple[str, ...] | None:
     sidecar = path + ".ids"
     try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(sidecar, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return None
-    lines = text.split("\n")
+    lines = _utf8(data, sidecar).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) != n:
@@ -242,14 +281,43 @@ def _write_id_sidecar(path: str, ids: tuple[str, ...]) -> None:
             fh.write(i + "\n")
 
 
-def _csv_rows(path: str, what: str) -> list[list[str]]:
-    """Every row of a CSV file; a missing file is a configuration error."""
+def _csv_rows(path: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """(file row number, cells) for each non-blank row of a CSV file.
+
+    Rows count from 1 with header and blank rows included, so an error
+    message names the row an editor shows.  Undecodable bytes and
+    malformed or oversized fields are format errors.
+    """
+    text = _utf8(read_bytes(path, what), path)
+    r = 0
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}")
-    with fh:
-        return list(csv.reader(fh))
+        for r, cells in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if cells:
+                yield r, cells
+    except csv.Error as exc:
+        raise FormatError(f"{path}: row {r + 1}: {exc}")
+
+
+def _check_width(path: str, r: int, cells: list[str], width: int) -> None:
+    if len(cells) != width:
+        raise FormatError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
+
+
+def _parse_cells(path: str, r: int, cells: Sequence[str], first_column: int, parse=float) -> list:
+    """``parse`` of every cell; ``first_column`` is the 1-based file column of cells[0]."""
+    out = []
+    for c, cell in enumerate(cells, start=first_column):
+        try:
+            out.append(parse(cell))
+        except ValueError:
+            raise FormatError(f"{path}: row {r}, column {c}: cannot parse {cell!r} as a number")
+    return out
+
+
+@contextmanager
+def _csv_writer(path: str):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield csv.writer(fh, lineterminator="\n")
 
 
 def _infer_format(path: str) -> str:
@@ -268,14 +336,7 @@ def read_features(path: str, fmt: str = "auto", header: bool = False) -> Feature
     if fmt == "auto":
         fmt = _infer_format(path)
     if fmt == "binary":
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            raise ConfigError(f"features file not found: {path}")
-        dtype, (n, d), off = _parse_header(data, path, _MAGIC_MATRIX, 2)
-        values = _read_payload(data, off, dtype, (n, d), path)
-        ids = _read_id_sidecar(path, n) or default_ids(n)
+        values, ids = _read_container(path, _MAGIC_MATRIX, 2, "features file")
         return FeatureMatrix(values=values, ids=ids)
     if fmt == "csv":
         return _read_features_csv(path, header)
@@ -284,30 +345,20 @@ def read_features(path: str, fmt: str = "auto", header: bool = False) -> Feature
 
 def _read_features_csv(path: str, header: bool) -> FeatureMatrix:
     rows = _csv_rows(path, "features file")
-    if header and rows:
-        rows = rows[1:]
-    rows = [r for r in rows if r]
-    if not rows:
+    if header:
+        next(rows, None)
+    ids, values = [], []
+    for r, cells in rows:
+        if not ids:
+            width = len(cells)
+            if width < 2:
+                raise FormatError(f"{path}: row {r} has no feature columns")
+        _check_width(path, r, cells, width)
+        ids.append(cells[0])
+        values.append(_parse_cells(path, r, cells[1:], 2))
+    if not ids:
         raise FormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    if width < 2:
-        raise FormatError(f"{path}: row 1 has no feature columns")
-    ids = []
-    values = np.empty((len(rows), width - 1), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: row {r + 1} has {len(row)} columns, expected {width}"
-            )
-        ids.append(row[0])
-        for c, cell in enumerate(row[1:]):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {r + 1}, column {c + 2}: cannot parse {cell!r} as a number"
-                )
-    return FeatureMatrix(values=values, ids=tuple(ids))
+    return FeatureMatrix(values=np.array(values, dtype=np.float64), ids=tuple(ids))
 
 
 def write_features(
@@ -317,18 +368,10 @@ def write_features(
     if fmt == "auto":
         fmt = _infer_format(path)
     if fmt == "binary":
-        if dtype not in _DTYPE_NAMES:
-            raise ConfigError(f"unknown payload dtype {dtype!r}")
-        code = _DTYPE_NAMES[dtype]
-        payload = np.ascontiguousarray(matrix.values, dtype=_DTYPE_CODES[code])
-        with open(path, "wb") as fh:
-            fh.write(_pack_header(_MAGIC_MATRIX, code, (matrix.n, matrix.d)))
-            fh.write(payload.tobytes(order="C"))
-        _write_id_sidecar(path, matrix.ids)
+        _write_container(path, _MAGIC_MATRIX, matrix.values, matrix.ids, dtype)
         return
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        with _csv_writer(path) as writer:
             for i, row in zip(matrix.ids, matrix.values):
                 writer.writerow([i] + [repr(float(v)) for v in row])
         return
@@ -336,26 +379,12 @@ def write_features(
 
 
 def read_feature_maps(path: str) -> FeatureMapBlock:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"feature map file not found: {path}")
-    dtype, (n, c, s), off = _parse_header(data, path, _MAGIC_MAPS, 3)
-    values = _read_payload(data, off, dtype, (n, c, s), path)
-    ids = _read_id_sidecar(path, n) or default_ids(n)
+    values, ids = _read_container(path, _MAGIC_MAPS, 3, "feature map file")
     return FeatureMapBlock(values=values, ids=ids)
 
 
 def write_feature_maps(block: FeatureMapBlock, path: str, dtype: str = "f64") -> None:
-    if dtype not in _DTYPE_NAMES:
-        raise ConfigError(f"unknown payload dtype {dtype!r}")
-    code = _DTYPE_NAMES[dtype]
-    payload = np.ascontiguousarray(block.values, dtype=_DTYPE_CODES[code])
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(_MAGIC_MAPS, code, (block.n, block.c, block.s)))
-        fh.write(payload.tobytes(order="C"))
-    _write_id_sidecar(path, block.ids)
+    _write_container(path, _MAGIC_MAPS, block.values, block.ids, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -403,38 +432,31 @@ class LabelManifest:
 
 def read_label_manifest(path: str) -> LabelManifest:
     rows = _csv_rows(path, "label manifest")
-    if not rows or rows[0] != _MANIFEST_HEADER:
+    if next(rows, (0, None))[1] != _MANIFEST_HEADER:
         raise FormatError(f"{path}: first row must be the header 'id,style,genre'")
     out = []
-    for r, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FormatError(f"{path}: row {r} has {len(row)} columns, expected 3")
-        out.append((row[0], row[1] or None, row[2] or None))
+    for r, cells in rows:
+        _check_width(path, r, cells, 3)
+        out.append((cells[0], cells[1] or None, cells[2] or None))
     if not out:
         raise FormatError(f"{path}: manifest holds no rows")
     return LabelManifest(rows=tuple(out))
 
 
 def write_label_manifest(manifest: LabelManifest, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(path) as writer:
         writer.writerow(_MANIFEST_HEADER)
         for i, style, genre in manifest.rows:
             writer.writerow([i, style or "", genre or ""])
 
 
 def labels_for(
-    manifest: LabelManifest,
-    matrix: FeatureMatrix,
-    column: str,
-    require_cover: bool = False,
+    manifest: LabelManifest, matrix: FeatureMatrix, column: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense class indices for the matrix rows labeled in the manifest.
 
     Returns (row_indices, class_indices) covering exactly the labeled
-    rows.  With require_cover=True every matrix row must be labeled.
+    rows.
     """
     mapping = manifest.label_map(column)
     rows = []
@@ -443,8 +465,6 @@ def labels_for(
         if i in mapping:
             rows.append(r)
             classes.append(mapping[i])
-        elif require_cover:
-            raise DataError(f"id {i!r} has no {column} label")
     return np.array(rows, dtype=np.int64), np.array(classes, dtype=np.int64)
 
 
@@ -470,7 +490,10 @@ class ClusterAssignments:
     q: np.ndarray | None = None
 
     def __post_init__(self):
-        hard = np.asarray(self.hard, dtype=np.int64)
+        try:
+            hard = np.asarray(self.hard, dtype=np.int64)
+        except OverflowError:
+            raise DataError("hard labels must fit in 64-bit integers")
         n = hard.shape[0]
         object.__setattr__(self, "ids", _check_ids(self.ids, n))
         if hard.ndim != 1:
@@ -513,8 +536,7 @@ class ClusterAssignments:
 
 
 def write_assignments(assignments: ClusterAssignments, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(path) as writer:
         header = ["id", "cluster"]
         if assignments.q is not None:
             header += [f"q_{j}" for j in range(assignments.q.shape[1])]
@@ -528,9 +550,9 @@ def write_assignments(assignments: ClusterAssignments, path: str) -> None:
 
 def read_assignments(path: str) -> ClusterAssignments:
     rows = _csv_rows(path, "assignments file")
-    if not rows:
+    _, header = next(rows, (0, None))
+    if header is None:
         raise FormatError(f"{path}: empty file")
-    header = rows[0]
     if header[:2] != ["id", "cluster"]:
         raise FormatError(f"{path}: header must start with 'id,cluster'")
     q_cols = header[2:]
@@ -540,25 +562,15 @@ def read_assignments(path: str) -> ClusterAssignments:
     ids = []
     hard = []
     q_rows = [] if q_cols else None
-    for r, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {r} has {len(row)} columns, expected {len(header)}")
-        ids.append(row[0])
-        try:
-            hard.append(int(row[1]))
-        except ValueError:
-            raise FormatError(f"{path}: row {r}: cannot parse cluster {row[1]!r}")
+    for r, cells in rows:
+        _check_width(path, r, cells, len(header))
+        ids.append(cells[0])
+        hard += _parse_cells(path, r, cells[1:2], 2, int)
         if q_rows is not None:
-            try:
-                q_rows.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise FormatError(f"{path}: row {r}: cannot parse soft assignments")
+            q_rows.append(_parse_cells(path, r, cells[2:], 3))
     if not ids:
         raise FormatError(f"{path}: no data rows")
-    q = np.array(q_rows, dtype=np.float64) if q_rows is not None else None
-    return ClusterAssignments(ids=tuple(ids), hard=np.array(hard, dtype=np.int64), q=q)
+    return ClusterAssignments(ids=tuple(ids), hard=hard, q=q_rows)
 
 
 def cluster_labels(ids: Sequence[str], assignments: ClusterAssignments) -> np.ndarray:
@@ -580,31 +592,25 @@ def write_xy(path: str, ids: Sequence[str], coords: np.ndarray, pca_style: bool)
     header = ["id"] + (
         [f"c_{j + 1}" for j in range(coords.shape[1])] if pca_style else ["x", "y"]
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(path) as writer:
         writer.writerow(header)
         for i, row in zip(ids, coords):
             writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 def read_xy(path: str) -> tuple[list[str], np.ndarray]:
-    rows = [r for r in _csv_rows(path, "projection file") if r]
-    if len(rows) < 2:
-        raise FormatError(f"{path}: no data rows")
-    if rows[0][0] != "id" or len(rows[0]) < 3:
+    rows = _csv_rows(path, "projection file")
+    _, header = next(rows, (0, []))
+    if header[:1] != ["id"] or len(header) < 3:
         raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
-    ids = []
-    coords = np.empty((len(rows) - 1, 2), dtype=np.float64)
-    for r, row in enumerate(rows[1:]):
-        if len(row) != len(rows[0]):
-            raise FormatError(f"{path}: row {r + 2} has {len(row)} columns")
-        ids.append(row[0])
-        try:
-            coords[r, 0] = float(row[1])
-            coords[r, 1] = float(row[2])
-        except ValueError:
-            raise FormatError(f"{path}: row {r + 2}: cannot parse coordinates")
-    return ids, coords
+    ids, coords = [], []
+    for r, cells in rows:
+        _check_width(path, r, cells, len(header))
+        ids.append(cells[0])
+        coords.append(_parse_cells(path, r, cells[1:3], 2))
+    if not ids:
+        raise FormatError(f"{path}: no data rows")
+    return ids, np.array(coords, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ centroids are updated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import neural
-from .dataio import FeatureMatrix
+from .dataio import FeatureMatrix, _csv_writer
 from .errors import ConfigError, DegenerateCentroidsError, NumericError, ShapeError
 from .kmeans import kmeans_fit
 from .neural import AdamConfig, MlpParams
@@ -85,8 +84,7 @@ class DecHistory:
     initial_labels: np.ndarray
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        with _csv_writer(path) as writer:
             writer.writerow(["refresh_index", "iter", "kl_full", "changed_fraction"])
             for rec in self.records:
                 changed = "" if rec.changed_fraction is None else repr(rec.changed_fraction)
@@ -104,7 +102,7 @@ class DecResult:
 
 
 def _check_centroids(mu: np.ndarray) -> np.ndarray:
-    mu = np.asarray(mu, dtype=np.float64)
+    mu = np.ascontiguousarray(mu, dtype=np.float64)
     if mu.ndim != 2:
         raise ShapeError(f"centroids must be 2-d, got shape {mu.shape}")
     if not np.isfinite(mu).all():
@@ -128,7 +126,7 @@ def _kernel(z: np.ndarray, mu: np.ndarray):
 
 def soft_assign(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Student-t soft assignment rows; each row sums to 1."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.float64)
     mu = _check_centroids(mu)
     if z.ndim != 2 or z.shape[1] != mu.shape[1]:
         raise ShapeError(
@@ -176,9 +174,9 @@ def kl_grads(z: np.ndarray, mu: np.ndarray, p: np.ndarray):
     where w_ij is the unnormalised Student-t kernel.  The target p is
     treated as a constant.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.float64)
     mu = _check_centroids(mu)
-    p = np.asarray(p, dtype=np.float64)
+    p = np.ascontiguousarray(p, dtype=np.float64)
     if p.shape != (z.shape[0], mu.shape[0]):
         raise ShapeError(
             f"target shape {p.shape} does not match ({z.shape[0]}, {mu.shape[0]})"
@@ -274,7 +272,7 @@ def dec_fit(
         nb = idx.shape[0]
         grad_z /= nb
         grad_mu /= nb
-        param_grads, _ = neural.backward(encoder_params, acts, grad_z)
+        param_grads = neural.backward(encoder_params, acts, grad_z)
         neural.adam_step(encoder_params, param_grads, opt_encoder)
         neural.adam_step_blocks([mu], [grad_mu], opt_mu)
         iteration += 1

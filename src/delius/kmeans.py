@@ -47,8 +47,8 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels; ties go to the lowest centroid index."""
-    points = np.asarray(points, dtype=np.float64)
-    centroids = np.asarray(centroids, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
     if points.ndim != 2 or centroids.ndim != 2:
         raise DataError("points and centroids must be 2-d")
     if points.shape[1] != centroids.shape[1]:
@@ -130,7 +130,7 @@ def kmeans_fit(
     tol: float = DEFAULT_TOL,
 ) -> KmeansResult:
     """Best of ``restarts`` seeded Lloyd runs by inertia."""
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DataError(f"points must be 2-d, got shape {points.shape}")
     n = points.shape[0]

@@ -15,12 +15,14 @@ and bias in layer order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataio import ByteReader, read_bytes
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .rng import Rng
 
@@ -132,12 +134,12 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndar
 
 def backward(
     params: MlpParams, acts: list[np.ndarray], output_grad: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backpropagate a loss gradient through the chain.
 
     ``acts`` must come from forward() on the same parameters.  Returns
-    per-layer (weight grad, bias grad) pairs in layer order plus the
-    gradient with respect to the input batch.
+    per-layer (weight grad, bias grad) pairs in layer order; the gradient
+    with respect to the input batch is not computed.
     """
     if len(acts) != len(params.layers) + 1:
         raise ShapeError(
@@ -156,8 +158,9 @@ def backward(
         if layer.activation == "relu":
             g = g * (acts[i + 1] > 0.0)
         grads[i] = (g.T @ acts[i], g.sum(axis=0))
-        g = g @ layer.w
-    return grads, g
+        if i:
+            g = g @ layer.w
+    return grads
 
 
 def mse_loss(x_recon: np.ndarray, x: np.ndarray) -> float:
@@ -356,6 +359,8 @@ def _check_preamble(path: str, preamble, off: int) -> None:
         bad("layer_dims must be a list of positive integers")
     if not isinstance(activations, list) or not all(isinstance(a, str) for a in activations):
         bad("activations must be a list of strings")
+    if len(dims) < 2:
+        bad("layer_dims needs an input and at least one output size")
     if len(activations) != len(dims) - 1:
         bad(f"{len(activations)} activations for {len(dims)} layer sizes")
     for activation in activations:
@@ -379,53 +384,40 @@ def _check_preamble(path: str, preamble, off: int) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"checkpoint not found: {path}")
-    if data[:4] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r} at byte offset 0")
-    (version,) = struct.unpack("<H", data[4:6])
+    reader = ByteReader(read_bytes(path, "checkpoint"), path)
+    magic = bytes(reader.take(4, "magic"))
+    if magic != _CKPT_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
+    (version,) = reader.unpack("<H", "version")
     if version != _CKPT_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    (json_len,) = struct.unpack("<I", data[6:10])
-    off = 10
-    if off + json_len > len(data):
-        raise FormatError(f"{path}: truncated preamble at byte offset {off}")
+    (json_len,) = reader.unpack("<I", "preamble length")
+    off = reader.offset
     try:
-        preamble = json.loads(data[off : off + json_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        preamble = json.loads(bytes(reader.take(json_len, "preamble")).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable preamble at byte offset {off}: {exc}")
     _check_preamble(path, preamble, off)
-    off += json_len
     arrays = {}
     for block in preamble["blocks"]:
-        if off + 8 > len(data):
-            raise FormatError(f"{path}: truncated block length at byte offset {off}")
-        (nbytes,) = struct.unpack("<Q", data[off : off + 8])
-        off += 8
-        shape = tuple(block["shape"])
-        expected = int(np.prod(shape)) * 8
+        (nbytes,) = reader.unpack("<Q", "block length")
+        off = reader.offset
+        expected = math.prod(block["shape"]) * 8
         if nbytes != expected:
             raise FormatError(
                 f"{path}: block {block['name']!r} at byte offset {off} has "
                 f"{nbytes} bytes, expected {expected}"
             )
-        if off + nbytes > len(data):
-            raise FormatError(f"{path}: truncated block payload at byte offset {off}")
-        arrays[block["name"]] = (
-            np.frombuffer(data, dtype="<f8", count=expected // 8, offset=off)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        if not np.isfinite(arrays[block["name"]]).all():
+        values = np.frombuffer(reader.take(nbytes, "block payload"), "<f8")
+        if not np.isfinite(values).all():
             raise FormatError(
                 f"{path}: block {block['name']!r} at byte offset {off} holds non-finite values"
             )
-        off += nbytes
-    if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte offset {off}")
+        arrays[block["name"]] = values.astype(np.float64).reshape(block["shape"])
+    if reader.remaining:
+        raise FormatError(
+            f"{path}: {reader.remaining} trailing bytes at byte offset {reader.offset}"
+        )
     dims = preamble["layer_dims"]
     activations = preamble["activations"]
     layers = []

@@ -96,7 +96,7 @@ def test_gradient_correctness(capsys):
 
         # reconstruction loss against every parameter block
         acts, out = forward(ae, x)
-        grads, _ = backward(ae, acts, mse_grad(out, x))
+        grads = backward(ae, acts, mse_grad(out, x))
         for layer, (gw, gb) in zip(ae.layers, grads):
             for block, analytic in ((layer.w, gw), (layer.b, gb)):
                 numeric = numeric_gradient(
@@ -111,7 +111,7 @@ def test_gradient_correctness(capsys):
         mu = master.normal((k, m), std=1.5)
         p = target_distribution(soft_assign(z, mu))
         gz, gmu = kl_grads(z, mu, p)
-        pgrads, _ = backward(enc, acts, gz)
+        pgrads = backward(enc, acts, gz)
         for layer, (gw, gb) in zip(enc.layers, pgrads):
             for block, analytic in ((layer.w, gw), (layer.b, gb)):
                 numeric = numeric_gradient(

@@ -19,6 +19,7 @@ from delius.dataio import (
     read_feature_maps,
     read_features,
     read_label_manifest,
+    read_xy,
     stratified_sample,
     write_assignments,
     write_feature_maps,
@@ -218,6 +219,11 @@ def test_missing_file_is_config_error(tmp_path):
         read_features(str(tmp_path / "no_such.delf"))
 
 
+def test_unreadable_path_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read"):
+        read_features(str(tmp_path), fmt="binary")
+
+
 def test_sidecar_length_mismatch(tmp_path):
     m = _matrix(np.ones((2, 2)), ids=("a", "b"))
     path = str(tmp_path / "m.delf")
@@ -286,6 +292,23 @@ def test_csv_bad_number_names_cell(tmp_path):
         read_features(str(path))
 
 
+@pytest.mark.parametrize(
+    "text,read",
+    [
+        ("id,v_1,v_2\na,1.0,2.0\nb,3.0,oops\n", lambda p: read_features(p, header=True)),
+        ("a,1.0,2.0\n\nb,3.0,oops\n", read_features),
+        ("id,x,y\n\nb,3.0,oops\n", read_xy),
+    ],
+    ids=["features-header", "features-blank", "xy-blank"],
+)
+def test_csv_errors_name_file_row(tmp_path, text, read):
+    # Header and blank lines count: the bad cell is on line 3 of each file.
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=r"row 3\b"):
+        read(str(path))
+
+
 def test_unknown_extension_needs_explicit_format(tmp_path):
     with pytest.raises(ConfigError, match="format"):
         read_features(str(tmp_path / "file.dat"))
@@ -334,13 +357,6 @@ def test_labels_for_selects_labeled_rows():
     rows, classes = labels_for(manifest, m, "style")
     assert rows.tolist() == [0, 2]
     assert classes.tolist() == [0, 1]
-
-
-def test_labels_for_require_cover():
-    manifest = LabelManifest(rows=(("a", "s1", None),))
-    m = _matrix(np.zeros((2, 2)), ids=("a", "b"))
-    with pytest.raises(DataError, match="'b'"):
-        labels_for(manifest, m, "style", require_cover=True)
 
 
 def test_labels_for_unknown_column():
@@ -397,6 +413,13 @@ def test_read_assignments_checks_q_column_names(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("id,cluster,q_1\na,0,1.0\n")
     with pytest.raises(FormatError, match="q_1"):
+        read_assignments(str(path))
+
+
+def test_read_assignments_rejects_label_beyond_int64(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("id,cluster\na,99999999999999999999\n")
+    with pytest.raises(DataError, match="64-bit"):
         read_assignments(str(path))
 
 

@@ -390,3 +390,14 @@ def test_history_csv_format(tmp_path):
     for line, rec in zip(lines[1:], result.history.records):
         cells = line.split(",")
         assert float(cells[2]) == rec.kl_full
+
+
+def test_soft_assign_and_grads_independent_of_memory_layout():
+    rng = np.random.default_rng(8)
+    z = rng.normal(scale=3.0, size=(2000, 10))
+    mu = rng.normal(scale=3.0, size=(6, 10))
+    p = target_distribution(soft_assign(z, mu))
+    fz, fmu, fp = (np.asfortranarray(a) for a in (z, mu, p))
+    assert np.array_equal(soft_assign(fz, fmu), soft_assign(z, mu))
+    for f_grad, c_grad in zip(kl_grads(fz, fmu, fp), kl_grads(z, mu, p)):
+        assert np.array_equal(f_grad, c_grad)

@@ -261,3 +261,24 @@ def test_zero_width_points_fit():
     assert result.centroids.shape == (2, 0)
     assert result.labels.shape == (6,)
     assert result.inertia == 0.0
+
+
+def _layout_blobs(n=2000, m=10, k=8, seed=5):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=6.0, size=(k, m))
+    return centers[rng.integers(0, k, n)] + rng.normal(size=(n, m))
+
+
+def test_fit_independent_of_memory_layout():
+    # einsum sums in an order that follows the memory layout, so the
+    # points must reach the distance kernel C-ordered.
+    x = _layout_blobs()
+    c_order = kmeans_fit(x, 8, Rng(1))
+    f_order = kmeans_fit(np.asfortranarray(x), 8, Rng(1))
+    assert f_order.inertia.hex() == c_order.inertia.hex()
+    assert np.array_equal(f_order.labels, c_order.labels)
+    assert np.array_equal(f_order.centroids, c_order.centroids)
+    assert np.array_equal(
+        assign(np.asfortranarray(x), np.asfortranarray(c_order.centroids)),
+        assign(x, c_order.centroids),
+    )
