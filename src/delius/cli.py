@@ -18,14 +18,18 @@ Conventions shared by every subcommand:
   inherited values; in a ``delius`` process numpy has not loaded yet at
   that point, so the BLAS pool starts at that size (a caller that
   imported numpy before calling main() keeps the pool it has);
-* each run writes a small JSON manifest recording flags, seed, input
-  digests, package version and wall time;
+* each run writes a small JSON manifest recording flags, seed, the
+  digests of the files its input flags name, package version and wall
+  time;
+* every input is read in the ``load`` stage, so an unreadable or
+  malformed input is reported as "<command>: load stage failed";
 * artifacts are written under a ``.partial`` suffix and renamed on
   stage success, so a crashed stage leaves only ``.partial`` files.
 
-Each subcommand reads its inputs, calls one stage function and writes
-its manifest; ``run`` chains the same stage functions in one process, so
-its artifacts equal those of the chained subcommands byte for byte.
+Each subcommand reads its inputs, calls one stage function and returns
+its manifest's path; main() writes every manifest.  ``run`` chains the
+same stage functions in one process, so its artifacts equal those of
+the chained subcommands byte for byte.
 Stage functions import what they use when called, so the thread cap set
 in main() precedes numpy and a process loads only its stages' modules.
 """
@@ -47,7 +51,10 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_DEFAULT_ENCODER_DIMS = "500,500,2000,10"
+# The flags that name input files; a manifest digests each one a command has.
+_INPUT_FLAGS = (
+    "maps", "features", "points", "ae_checkpoint", "assignments", "labels_manifest", "xy",
+)
 
 
 class _Stage:
@@ -84,11 +91,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path: str, command: str, args: argparse.Namespace, inputs, started: float):
+def _write_text(path: str, text: str) -> None:
+    with _artifact(path) as target:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _write_manifest(path: str, args: argparse.Namespace, started: float):
     from . import __version__
 
+    inputs = [getattr(args, flag, None) for flag in _INPUT_FLAGS]
     record = {
-        "command": command,
+        "command": args.command,
         "arguments": {
             key: value
             for key, value in sorted(vars(args).items())
@@ -99,10 +113,7 @@ def _write_manifest(path: str, command: str, args: argparse.Namespace, inputs, s
         "version": __version__,
         "wall_time_s": time.monotonic() - started,
     }
-    with _artifact(path) as target:
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_dims(text: str):
@@ -138,6 +149,19 @@ def _dec_config(args):
     )
     config.validate()
     return config
+
+
+def _read_features(args, path: str):
+    from .dataio import read_features
+
+    return read_features(path, fmt=args.format, header=args.header)
+
+
+def _read_labels(args):
+    """The ``--labels-manifest`` file, read; None without the flag."""
+    from .dataio import read_label_manifest
+
+    return None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
 
 
 def _encoder_of(ckpt):
@@ -228,9 +252,7 @@ def _evaluate(points, assignments, manifest, column: str, space_tag: str, out: s
         style_truth=style,
         genre_truth=genre,
     )
-    with _artifact(out) as target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    _write_text(out, report.to_json())
 
 
 def _project(features, strata, fraction: float, seed: int, out: str, tsne=None, pca_dim=None):
@@ -257,133 +279,91 @@ def _plot(ids, coords, assignments, out: str, **layout):
     from .plotting import ScatterSpec, render_scatter
 
     spec = ScatterSpec(points=coords, labels=cluster_labels(ids, assignments), **layout)
-    svg = render_scatter(spec)
-    with _artifact(out) as target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+    _write_text(out, render_scatter(spec))
 
 
 # ---------------------------------------------------------------------------
-# handlers: load, one stage, manifest
+# handlers: load every input, run one stage, return the manifest's path
 
 
-def _cmd_gap(args) -> None:
-    started = time.monotonic()
+def _cmd_gap(args) -> str:
     from .dataio import global_average_pool, read_feature_maps, write_features
 
-    with _stage("pool"):
-        block = read_feature_maps(args.maps)
-        pooled = global_average_pool(block)
-        with _artifact(args.out) as target:
-            write_features(pooled, target, fmt="binary")
-    _write_manifest(args.out + ".manifest.json", "gap", args, [args.maps], started)
-
-
-def _cmd_pretrain(args) -> None:
-    started = time.monotonic()
-    from .dataio import read_features
-
     with _stage("load"):
-        features = read_features(args.features, fmt=args.format, header=args.header)
+        block = read_feature_maps(args.maps)
+    with _stage("pool"):
+        with _artifact(args.out) as target:
+            write_features(global_average_pool(block), target, fmt="binary")
+    return args.out + ".manifest.json"
+
+
+def _cmd_pretrain(args) -> str:
+    with _stage("load"):
+        features = _read_features(args, args.features)
     with _stage("pretrain"):
         loss_path = args.out_loss_curve or args.out_checkpoint + ".loss.csv"
         _pretrain(args, features, args.out_checkpoint, loss_path)
-    _write_manifest(
-        args.out_checkpoint + ".manifest.json", "pretrain", args, [args.features], started
-    )
+    return args.out_checkpoint + ".manifest.json"
 
 
-def _cmd_cluster(args) -> None:
-    started = time.monotonic()
-    from .dataio import read_features
+def _cmd_cluster(args) -> str:
     from .neural import load_checkpoint
 
     config = _dec_config(args)
     with _stage("load"):
-        features = read_features(args.features, fmt=args.format, header=args.header)
+        features = _read_features(args, args.features)
         encoder = _encoder_of(load_checkpoint(args.ae_checkpoint))
     with _stage("cluster"):
         history_path = args.out_history or args.out_assignments + ".history.csv"
         _cluster(args, config, features, encoder, args.out_assignments,
                  args.out_checkpoint, history_path, args.out_embedded)
-    _write_manifest(
-        args.out_assignments + ".manifest.json",
-        "cluster",
-        args,
-        [args.features, args.ae_checkpoint],
-        started,
-    )
+    return args.out_assignments + ".manifest.json"
 
 
-def _cmd_eval(args) -> None:
-    started = time.monotonic()
-    from .dataio import read_assignments, read_features, read_label_manifest
+def _cmd_eval(args) -> str:
+    from .dataio import read_assignments
 
     with _stage("load"):
-        points = read_features(args.points, fmt=args.format, header=args.header)
+        points = _read_features(args, args.points)
         assignments = read_assignments(args.assignments)
-        manifest = (
-            None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
-        )
+        manifest = _read_labels(args)
     with _stage("eval"):
         _evaluate(points, assignments, manifest, args.label_column, args.space_tag, args.out)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "eval",
-        args,
-        [args.points, args.assignments, args.labels_manifest],
-        started,
-    )
+    return args.out + ".manifest.json"
 
 
-def _cmd_baseline(args) -> None:
-    started = time.monotonic()
+def _cmd_baseline(args) -> str:
     from .baselines import run_ae_kmeans, run_pca_kmeans
-    from .dataio import ClusterAssignments, read_features, read_label_manifest, write_assignments
+    from .dataio import ClusterAssignments, write_assignments
     from .errors import ConfigError
     from .neural import load_checkpoint
 
     with _stage("load"):
-        features = read_features(args.features, fmt=args.format, header=args.header)
-        manifest = (
-            None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
-        )
+        features = _read_features(args, args.features)
+        manifest = _read_labels(args)
+        encoder = None
+        if args.strategy == "ae-kmeans":
+            if not args.ae_checkpoint:
+                raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
+            encoder = _encoder_of(load_checkpoint(args.ae_checkpoint))
     with _stage("baseline"):
-        if args.strategy == "pca-kmeans":
+        if encoder is None:
             run = run_pca_kmeans(
-                features,
-                args.k,
-                r=args.r,
-                seed=args.seed,
-                manifest=manifest,
+                features, args.k, r=args.r, seed=args.seed, manifest=manifest,
                 restarts=args.restarts,
             )
         else:
-            if not args.ae_checkpoint:
-                raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
             run = run_ae_kmeans(
-                features,
-                _encoder_of(load_checkpoint(args.ae_checkpoint)),
-                args.k,
-                seed=args.seed,
-                manifest=manifest,
+                features, encoder, args.k, seed=args.seed, manifest=manifest,
                 restarts=args.restarts,
             )
-        with _artifact(args.out) as target:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(run.report.to_json())
+        _write_text(args.out, run.report.to_json())
         if args.out_assignments:
             with _artifact(args.out_assignments) as target:
                 write_assignments(
                     ClusterAssignments(ids=run.ids, hard=run.labels, q=None), target
                 )
-    _write_manifest(
-        args.out + ".manifest.json",
-        "baseline",
-        args,
-        [args.features, args.ae_checkpoint, args.labels_manifest],
-        started,
-    )
+    return args.out + ".manifest.json"
 
 
 def _cluster_strata(ids, assignments) -> dict:
@@ -393,11 +373,12 @@ def _cluster_strata(ids, assignments) -> dict:
 
 
 def _stratify_labels(args, features):
-    from .dataio import read_assignments, read_label_manifest
+    from .dataio import read_assignments
     from .errors import DataError
 
-    if args.labels_manifest:
-        mapping = read_label_manifest(args.labels_manifest).label_map(args.label_column)
+    manifest = _read_labels(args)
+    if manifest is not None:
+        mapping = manifest.label_map(args.label_column)
         missing = [i for i in features.ids if i not in mapping]
         if missing:
             raise DataError(
@@ -409,15 +390,13 @@ def _stratify_labels(args, features):
     return {i: 0 for i in features.ids}  # single stratum: plain sampling
 
 
-def _cmd_project(args) -> None:
-    started = time.monotonic()
-    from .dataio import read_features
+def _cmd_project(args) -> str:
     from .projection import TsneConfig
 
     with _stage("load"):
-        features = read_features(args.features, fmt=args.format, header=args.header)
-    with _stage("project"):
+        features = _read_features(args, args.features)
         strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
+    with _stage("project"):
         tsne = None
         if args.method == "tsne":
             tsne = TsneConfig(
@@ -428,17 +407,10 @@ def _cmd_project(args) -> None:
                 seed=args.seed,
             )
         _project(features, strata, args.fraction, args.seed, args.out, tsne, pca_dim=args.r)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "project",
-        args,
-        [args.features, args.labels_manifest, args.assignments],
-        started,
-    )
+    return args.out + ".manifest.json"
 
 
-def _cmd_plot(args) -> None:
-    started = time.monotonic()
+def _cmd_plot(args) -> str:
     from .dataio import read_assignments, read_xy
 
     with _stage("load"):
@@ -447,14 +419,10 @@ def _cmd_plot(args) -> None:
     with _stage("plot"):
         _plot(ids, coords, assignments, args.out,
               width=args.width, height=args.height, radius=args.radius)
-    _write_manifest(
-        args.out + ".manifest.json", "plot", args, [args.xy, args.assignments], started
-    )
+    return args.out + ".manifest.json"
 
 
-def _cmd_run(args) -> None:
-    started = time.monotonic()
-    from .dataio import read_features, read_label_manifest
+def _cmd_run(args) -> str:
     from .projection import TsneConfig
 
     os.makedirs(args.outdir, exist_ok=True)
@@ -462,10 +430,8 @@ def _cmd_run(args) -> None:
     config = _dec_config(args)  # fail on bad knobs before any heavy work
 
     with _stage("load"):
-        features = read_features(args.features, fmt=args.format, header=args.header)
-        manifest = (
-            None if args.labels_manifest is None else read_label_manifest(args.labels_manifest)
-        )
+        features = _read_features(args, args.features)
+        manifest = _read_labels(args)
     with _stage("pretrain"):
         ckpt = _pretrain(args, features, out("autoencoder.delc"), out("pretrain_loss.csv"))
     with _stage("cluster"):
@@ -483,9 +449,7 @@ def _cmd_run(args) -> None:
         ids, coords = _project(embedded, strata, args.fraction, args.seed, out("xy.csv"), tsne)
     with _stage("plot"):
         _plot(ids, coords, assignments, out("scatter.svg"))
-    _write_manifest(
-        out("manifest.json"), "run", args, [args.features, args.labels_manifest], started
-    )
+    return out("manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +481,22 @@ def _add_feature_input(parser, flag="--features"):
     )
 
 
-def _add_adam(parser):
+def _add_pretraining(parser):
+    parser.add_argument("--encoder-dims", default="500,500,2000,10")
+    parser.add_argument("--epochs", type=int, default=200)
+
+
+def _add_clustering(parser):
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--update-interval", type=int, default=140)
+    parser.add_argument("--delta", type=float, default=0.001)
+    parser.add_argument("--max-iterations", type=int, default=20000)
+    parser.add_argument("--restarts", type=int, default=20)
+
+
+def _add_training(parser):
+    """Minibatch size and Adam settings, for pretraining and clustering."""
+    parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument("--lr", type=float, default=0.001)
     parser.add_argument("--beta1", type=float, default=0.9)
     parser.add_argument("--beta2", type=float, default=0.999)
@@ -539,10 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="train the reconstruction autoencoder")
     _add_feature_input(p)
-    p.add_argument("--encoder-dims", default=_DEFAULT_ENCODER_DIMS)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--epochs", type=int, default=200)
-    _add_adam(p)
+    _add_pretraining(p)
+    _add_training(p)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-loss-curve", default=None)
     _add_common(p)
@@ -551,13 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="jointly optimise embedding and centroids")
     _add_feature_input(p)
     p.add_argument("--ae-checkpoint", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--update-interval", type=int, default=140)
-    p.add_argument("--delta", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--restarts", type=int, default=20)
-    _add_adam(p)
+    _add_clustering(p)
+    _add_training(p)
     p.add_argument("--out-assignments", required=True)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-history", default=None)
@@ -566,11 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("eval", help="score a clustering")
-    p.add_argument("--points", required=True, help="matrix the metrics run in")
-    p.add_argument(
-        "--format", choices=("auto", "binary", "csv"), default="auto"
-    )
-    p.add_argument("--header", action="store_true")
+    _add_feature_input(p, flag="--points")
     p.add_argument("--assignments", required=True)
     p.add_argument("--labels-manifest", default=None)
     p.add_argument("--label-column", choices=("style", "genre", "both"), default="both")
@@ -620,16 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: pretrain, cluster, eval, project, plot")
     _add_feature_input(p)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--labels-manifest", default=None)
-    p.add_argument("--encoder-dims", default=_DEFAULT_ENCODER_DIMS)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--epochs", type=int, default=200)
-    _add_adam(p)
-    p.add_argument("--update-interval", type=int, default=140)
-    p.add_argument("--delta", type=float, default=0.001)
-    p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--restarts", type=int, default=20)
+    _add_pretraining(p)
+    _add_clustering(p)
+    _add_training(p)
     p.add_argument("--fraction", type=float, default=0.1)
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--tsne-iterations", type=int, default=1000)
@@ -671,7 +633,8 @@ def main(argv=None) -> int:
         threads = _resolve_threads(args)
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(threads)
-        args.func(args)
+        started = time.monotonic()
+        _write_manifest(args.func(args), args, started)
     except DeliusError as exc:
         stage = _stage.name or args.command
         print(f"delius {args.command}: {stage} stage failed: {exc}", file=sys.stderr)

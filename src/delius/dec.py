@@ -21,7 +21,7 @@ import numpy as np
 from . import neural
 from .dataio import FeatureMatrix, _csv_writer
 from .errors import ConfigError, DegenerateCentroidsError, NumericError, ShapeError
-from .kmeans import kmeans_fit
+from .kmeans import kmeans_fit, sq_distances
 from .neural import AdamConfig, MlpParams
 from .rng import Rng
 
@@ -107,8 +107,7 @@ def _check_centroids(mu: np.ndarray) -> np.ndarray:
         raise ShapeError(f"centroids must be 2-d, got shape {mu.shape}")
     if not np.isfinite(mu).all():
         raise NumericError("centroids contain non-finite values")
-    diff = mu[:, None, :] - mu[None, :, :]
-    sq = np.einsum("abm,abm->ab", diff, diff)
+    sq = sq_distances(mu, mu)
     np.fill_diagonal(sq, np.inf)
     if sq.min() < _CENTROID_SEPARATION_SQ:
         a, b = np.unravel_index(int(np.argmin(sq)), sq.shape)
@@ -116,12 +115,6 @@ def _check_centroids(mu: np.ndarray) -> np.ndarray:
             f"centroids {a} and {b} coincide; soft assignments are ill-defined"
         )
     return mu
-
-
-def _kernel(z: np.ndarray, mu: np.ndarray):
-    diff = z[:, None, :] - mu[None, :, :]
-    w = 1.0 / (1.0 + np.einsum("nkm,nkm->nk", diff, diff))
-    return diff, w
 
 
 def soft_assign(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -132,7 +125,7 @@ def soft_assign(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"embedded points {z.shape} do not match centroids {mu.shape}"
         )
-    _, w = _kernel(z, mu)
+    w = 1.0 / (1.0 + sq_distances(z, mu))
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -181,9 +174,10 @@ def kl_grads(z: np.ndarray, mu: np.ndarray, p: np.ndarray):
         raise ShapeError(
             f"target shape {p.shape} does not match ({z.shape[0]}, {mu.shape[0]})"
         )
-    diff, w = _kernel(z, mu)
+    w = 1.0 / (1.0 + sq_distances(z, mu))
     q = w / w.sum(axis=1, keepdims=True)
     coef = 2.0 * w * (p - q)
+    diff = z[:, None, :] - mu[None, :, :]
     grad_z = np.einsum("nk,nkm->nm", coef, diff)
     grad_mu = -np.einsum("nk,nkm->km", coef, diff)
     return grad_z, grad_mu

@@ -33,16 +33,20 @@ class KmeansResult:
     tol: float
 
 
-def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # Direct differences keep exact ties exact, which the lowest-index
-    # tie rule in assign() relies on.  One centroid at a time: an n x m
-    # difference instead of an n x k x m one, with the same sums.
+def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each point to each centre, as a C-ordered n x k array.
+
+    Direct differences keep exact ties exact, which the lowest-index tie
+    rule in assign() relies on.  One centre at a time: an n x m
+    difference instead of an n x k x m one, with the same sums.  The
+    result is C-ordered because row sums over it follow its layout.
+    """
     out = np.empty((centers.shape[0], points.shape[0]))
     diff = np.empty_like(points)
     for j, center in enumerate(centers):
         np.subtract(points, center, out=diff)
         np.einsum("nm,nm->n", diff, diff, out=out[j])
-    return out.T
+    return np.ascontiguousarray(out.T)
 
 
 def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -55,13 +59,13 @@ def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         raise DataError(
             f"points have {points.shape[1]} dims, centroids {centroids.shape[1]}"
         )
-    return np.argmin(_sq_distances(points, centroids), axis=1).astype(np.int64)
+    return np.argmin(sq_distances(points, centroids), axis=1).astype(np.int64)
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     n = points.shape[0]
     chosen = [rng.below(n)]
-    closest = _sq_distances(points, points[chosen[-1]][None, :])[:, 0]
+    closest = sq_distances(points, points[chosen[-1]][None, :])[:, 0]
     while len(chosen) < k:
         total = float(closest.sum())
         if total > 0.0:
@@ -69,7 +73,7 @@ def _plusplus_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
         else:
             idx = rng.below(n)  # all mass on existing centers; fall back to uniform
         chosen.append(idx)
-        d_new = _sq_distances(points, points[idx][None, :])[:, 0]
+        d_new = sq_distances(points, points[idx][None, :])[:, 0]
         closest = np.minimum(closest, d_new)
     return points[np.array(chosen)].copy()
 
@@ -93,7 +97,7 @@ def _repair_empty(points, centroids, labels, dists):
 
 def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
     centroids = _plusplus_init(points, k, rng)
-    dists = _sq_distances(points, centroids)
+    dists = sq_distances(points, centroids)
     labels = np.argmin(dists, axis=1).astype(np.int64)
     inertia = float(dists[np.arange(points.shape[0]), labels].sum())
     history = [inertia]
@@ -110,7 +114,7 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
         new_centroids /= counts[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        dists = _sq_distances(points, centroids)
+        dists = sq_distances(points, centroids)
         new_labels = np.argmin(dists, axis=1).astype(np.int64)
         inertia = float(dists[np.arange(points.shape[0]), new_labels].sum())
         history.append(inertia)

@@ -153,7 +153,7 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
         beta, lo, hi = 1.0, 0.0, math.inf
         row = None
         for _ in range(_MAX_BISECTIONS):
-            row = _conditional_row(d2[i].copy(), i, beta)
+            row = _conditional_row(d2[i], i, beta)
             gap = _entropy(row) - target
             if abs(gap) <= _ENTROPY_TOL:
                 break

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import delius
-from delius.cli import _THREAD_ENV_VARS, main
+from delius.cli import _THREAD_ENV_VARS, build_parser, main
 from delius.dataio import (
     FeatureMapBlock,
     FeatureMatrix,
@@ -563,6 +563,34 @@ def test_inconsistent_checkpoint_exit_3(workspace, tmp_path, capsys, edit):
     assert not (tmp_path / "a.csv").exists()
 
 
+def _truncated_maps(workspace, tmp_path):
+    maps = tmp_path / "t.delm"
+    write_feature_maps(FeatureMapBlock(values=np.ones((2, 3, 4))), str(maps))
+    maps.write_bytes(maps.read_bytes()[:7])
+    return ["gap", "--maps", str(maps), "--out", str(tmp_path / "p.delf")], 3
+
+
+def _missing_ae_checkpoint(workspace, tmp_path):
+    return ["baseline", "--strategy", "ae-kmeans", "--features", workspace["features"],
+            "--k", str(K), "--ae-checkpoint", str(tmp_path / "nope.delc"),
+            "--out", str(tmp_path / "b.json")], 2
+
+
+def _missing_stratify_labels(workspace, tmp_path):
+    return ["project", "--features", workspace["embedded"], "--method", "pca",
+            "--fraction", "0.5", "--labels-manifest", str(tmp_path / "nope.csv"),
+            "--out", str(tmp_path / "xy.csv")], 2
+
+
+@pytest.mark.parametrize("case", [_truncated_maps, _missing_ae_checkpoint,
+                                  _missing_stratify_labels])
+def test_unreadable_input_fails_in_load_stage(workspace, tmp_path, capsys, case):
+    argv, exit_code = case(workspace, tmp_path)
+    assert main(argv) == exit_code
+    assert capsys.readouterr().err.startswith(f"delius {argv[0]}: load stage failed: ")
+    assert not [p for p in tmp_path.iterdir() if p.suffix in (".delf", ".json", ".csv")]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numeric_blowup_exit_4(tmp_path, capsys):
     huge = FeatureMatrix.from_array(np.full((8, 4), 1e200))
@@ -622,6 +650,7 @@ def test_package_import_loads_no_numeric_library():
     src = os.path.dirname(os.path.dirname(delius.__file__))
     probe = (
         "import sys, delius, delius.cli\n"
+        "delius.cli.build_parser()\n"
         "cli = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
         "import delius.metrics\n"
         "print(cli, 'scipy' in sys.modules)\n"
@@ -632,6 +661,125 @@ def test_package_import_loads_no_numeric_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[0] == "[] False"
+
+
+# ---------------------------------------------------------------------------
+# the command surface and its manifests
+
+# Each subcommand's minimal argv and every value it parses to, defaults
+# included: no flag may be added, removed, renamed or re-defaulted.
+SURFACE = {
+    "gap": (
+        ["--maps", "m", "--out", "o"],
+        {"maps": "m", "out": "o", "seed": 0, "threads": None},
+    ),
+    "pretrain": (
+        ["--features", "f", "--out-checkpoint", "c"],
+        {"batch_size": 256, "beta1": 0.9, "beta2": 0.999, "encoder_dims": "500,500,2000,10",
+         "epochs": 200, "epsilon": 1e-08, "features": "f", "format": "auto", "header": False,
+         "lr": 0.001, "out_checkpoint": "c", "out_loss_curve": None, "seed": 0,
+         "threads": None},
+    ),
+    "cluster": (
+        ["--features", "f", "--ae-checkpoint", "a", "--k", "3", "--out-assignments", "o",
+         "--out-checkpoint", "c"],
+        {"ae_checkpoint": "a", "batch_size": 256, "beta1": 0.9, "beta2": 0.999,
+         "delta": 0.001, "epsilon": 1e-08, "features": "f", "format": "auto",
+         "header": False, "k": 3, "lr": 0.001, "max_iterations": 20000,
+         "out_assignments": "o", "out_checkpoint": "c", "out_embedded": None,
+         "out_history": None, "restarts": 20, "seed": 0, "threads": None,
+         "update_interval": 140},
+    ),
+    "eval": (
+        ["--points", "p", "--assignments", "a", "--out", "o"],
+        {"assignments": "a", "format": "auto", "header": False, "label_column": "both",
+         "labels_manifest": None, "out": "o", "points": "p", "seed": 0,
+         "space_tag": "embedded", "threads": None},
+    ),
+    "baseline": (
+        ["--strategy", "pca-kmeans", "--features", "f", "--k", "3", "--out", "o"],
+        {"ae_checkpoint": None, "features": "f", "format": "auto", "header": False, "k": 3,
+         "labels_manifest": None, "out": "o", "out_assignments": None, "r": 200,
+         "restarts": 20, "seed": 0, "strategy": "pca-kmeans", "threads": None},
+    ),
+    "project": (
+        ["--features", "f", "--method", "pca", "--out", "o"],
+        {"assignments": None, "early_exaggeration": 12.0, "features": "f", "format": "auto",
+         "fraction": 1.0, "header": False, "iterations": 1000, "label_column": "style",
+         "labels_manifest": None, "learning_rate": 200.0, "method": "pca", "out": "o",
+         "perplexity": 30.0, "r": 2, "seed": 0, "threads": None},
+    ),
+    "plot": (
+        ["--xy", "x", "--assignments", "a", "--out", "o"],
+        {"assignments": "a", "height": 600, "out": "o", "radius": 3.0, "seed": 0,
+         "threads": None, "width": 800, "xy": "x"},
+    ),
+    "run": (
+        ["--features", "f", "--k", "3", "--outdir", "d"],
+        {"batch_size": 256, "beta1": 0.9, "beta2": 0.999, "delta": 0.001,
+         "encoder_dims": "500,500,2000,10", "epochs": 200, "epsilon": 1e-08, "features": "f",
+         "format": "auto", "fraction": 0.1, "header": False, "k": 3, "labels_manifest": None,
+         "lr": 0.001, "max_iterations": 20000, "outdir": "d", "perplexity": 30.0,
+         "restarts": 20, "seed": 0, "threads": None, "tsne_iterations": 1000,
+         "update_interval": 140},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_command_surface_pinned(command):
+    argv, expected = SURFACE[command]
+    parsed = vars(build_parser().parse_args([command] + argv))
+    assert callable(parsed.pop("func"))
+    assert parsed == dict(expected, command=command)
+    assert all(type(parsed[key]) is type(value) for key, value in expected.items())
+
+
+def _manifest_cases(workspace, tmp_path):
+    """(argv, manifest path, input files) for every command, with every
+    input flag it has given."""
+    w, out = workspace, lambda name: str(tmp_path / name)
+    maps = out("m.delm")
+    write_feature_maps(FeatureMapBlock(values=np.ones((2, 3, 4))), maps)
+    xy = out("xy.csv")
+    assert main(["project", "--features", w["embedded"], "--method", "pca", "--out", xy]) == 0
+    dec = ["--batch-size", "32", "--max-iterations", "20", "--update-interval", "10"]
+    return [
+        (["gap", "--maps", maps, "--out", out("p.delf")], out("p.delf.manifest.json"), [maps]),
+        (["pretrain", "--features", w["features"], "--out-checkpoint", out("ae.delc"),
+          "--encoder-dims", ENCODER, "--epochs", "1"],
+         out("ae.delc.manifest.json"), [w["features"]]),
+        (["cluster", "--features", w["features"], "--ae-checkpoint", w["ae"], "--k", str(K),
+          "--out-assignments", out("a.csv"), "--out-checkpoint", out("c.delc")] + dec,
+         out("a.csv.manifest.json"), [w["features"], w["ae"]]),
+        (["eval", "--points", w["embedded"], "--assignments", w["assignments"],
+          "--labels-manifest", w["manifest"], "--out", out("r.json")],
+         out("r.json.manifest.json"), [w["embedded"], w["assignments"], w["manifest"]]),
+        (["baseline", "--strategy", "ae-kmeans", "--features", w["features"], "--k", str(K),
+          "--ae-checkpoint", w["ae"], "--labels-manifest", w["manifest"],
+          "--out", out("b.json"), "--out-assignments", out("b.csv")],
+         out("b.json.manifest.json"), [w["features"], w["ae"], w["manifest"]]),
+        (["project", "--features", w["embedded"], "--method", "pca", "--fraction", "0.5",
+          "--labels-manifest", w["manifest"], "--assignments", w["assignments"],
+          "--out", out("xy2.csv")],
+         out("xy2.csv.manifest.json"), [w["embedded"], w["manifest"], w["assignments"]]),
+        (["plot", "--xy", xy, "--assignments", w["assignments"], "--out", out("s.svg")],
+         out("s.svg.manifest.json"), [xy, w["assignments"]]),
+        (["run", "--features", w["features"], "--k", str(K), "--labels-manifest", w["manifest"],
+          "--encoder-dims", ENCODER, "--epochs", "1", "--fraction", "0.5",
+          "--perplexity", "4", "--tsne-iterations", "10", "--outdir", out("run")] + dec,
+         out("run/manifest.json"), [w["features"], w["manifest"]]),
+    ]
+
+
+def test_manifest_inputs_are_the_input_flags_files(workspace, tmp_path):
+    cases = _manifest_cases(workspace, tmp_path)
+    assert sorted(argv[0] for argv, _, _ in cases) == sorted(SURFACE)
+    for argv, manifest, inputs in cases:
+        assert main(argv) == 0, argv[0]
+        record = json.loads(open(manifest).read())
+        assert record["command"] == argv[0]
+        assert record["inputs"] == {p: _checksum(p) for p in inputs}, argv[0]
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,42 @@ def test_kl_grads_shape_check():
         kl_grads(np.zeros((4, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((3, 2)))
 
 
+# The soft assignment and its gradients against a frozen copy of their
+# earlier n x k x m difference-tensor kernel: sharing the k-means
+# distance kernel must keep every bit.
+
+
+def _frozen_kernel(z, mu):
+    z, mu = np.ascontiguousarray(z), np.ascontiguousarray(mu)
+    diff = z[:, None, :] - mu[None, :, :]
+    return diff, 1.0 / (1.0 + np.einsum("nkm,nkm->nk", diff, diff))
+
+
+def _frozen_grads(z, mu, p):
+    diff, w = _frozen_kernel(z, mu)
+    coef = 2.0 * w * (p - w / w.sum(axis=1, keepdims=True))
+    return np.einsum("nk,nkm->nm", coef, diff), -np.einsum("nk,nkm->km", coef, diff)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 64])
+def test_soft_assign_and_kl_grads_bit_equal_to_frozen_kernel(m):
+    rng = Rng(60 + m)
+    z = rng.normal((257, m))
+    z[9] = z[4]  # a duplicate row
+    mu = 2.0 * rng.normal((20, m))  # k above 8: row sums follow the layout
+    for points in (z, np.asfortranarray(z)):
+        for centers in (mu, np.asfortranarray(mu)):
+            _, w = _frozen_kernel(points, centers)
+            expected = w / w.sum(axis=1, keepdims=True)
+            q = soft_assign(points, centers)
+            assert np.array_equal(q, expected)
+            p = target_distribution(q)
+            grad_z, grad_mu = kl_grads(points, centers, p)
+            frozen_z, frozen_mu = _frozen_grads(points, centers, p)
+            assert np.array_equal(grad_z, frozen_z)
+            assert np.array_equal(grad_mu, frozen_mu)
+
+
 # ---------------------------------------------------------------------------
 # joint loop
 

@@ -219,7 +219,9 @@ def test_sq_distances_bit_equal_to_frozen_kernel(m):
     for centers in (rng.normal((1, m)), rng.normal((13, m)), points[[3, 7, 0]]):
         for layout in (points, np.asfortranarray(points)):  # the sums follow the layout
             expected = _frozen_sq_distances(layout, centers)
-            assert np.array_equal(kmeans._sq_distances(layout, centers), expected)
+            got = kmeans.sq_distances(layout, centers)
+            assert np.array_equal(got, expected)
+            assert got.flags.c_contiguous  # row sums over it follow the layout
 
 
 def _blobs():
