@@ -9,6 +9,8 @@ pretraining only the encoder half is kept for clustering.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -100,12 +102,6 @@ def encode(params: MlpParams, features) -> np.ndarray:
     return out
 
 
-def _batches(n: int, batch_size: int, rng: Rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def pretrain(
     params: MlpParams, features: FeatureMatrix, spec: AutoencoderSpec, rng: Rng
 ) -> tuple[MlpParams, PretrainReport]:
@@ -125,12 +121,13 @@ def pretrain(
             f"features have {x.shape[1]} columns but the configured input width is {spec.input_dim}"
         )
     started = time.monotonic()
-    state = neural.adam_init(params, spec.optimizer)
+    state = neural.adam_init(params.blocks(), spec.optimizer, params.block_names())
+    batches = neural.minibatches(features.n, spec.batch_size, rng)
     losses: list[float] = []
     last_good = params.copy()
     for epoch in range(spec.epochs):
         batch_losses = []
-        for idx in _batches(features.n, spec.batch_size, rng):
+        for idx in itertools.islice(batches, math.ceil(features.n / spec.batch_size)):
             xb = x[idx]
             acts, recon = neural.forward(params, xb)
             loss = neural.mse_loss(recon, xb)

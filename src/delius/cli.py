@@ -391,8 +391,17 @@ def _stratify_labels(args, features):
 
 
 def _cmd_project(args) -> str:
+    from .errors import ConfigError
     from .projection import TsneConfig
 
+    # A stratifier is read only to draw a sample: refuse one that would go
+    # unread, so the manifest digests no file the command did not use.
+    given = [flag for flag, path in (("--labels-manifest", args.labels_manifest),
+                                     ("--assignments", args.assignments)) if path]
+    if len(given) > 1:
+        raise ConfigError("--labels-manifest and --assignments both choose the strata; give one")
+    if given and not args.fraction < 1.0:
+        raise ConfigError(f"{given[0]} stratifies a sample and needs --fraction below 1")
     with _stage("load"):
         features = _read_features(args, args.features)
         strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
@@ -629,6 +638,7 @@ def main(argv=None) -> int:
 
     from .errors import DeliusError
 
+    _stage.name = None  # an earlier call in this process may have failed inside a stage
     try:
         threads = _resolve_threads(args)
         for var in _THREAD_ENV_VARS:

@@ -196,9 +196,10 @@ def dec_fit(
     the encoded data.  Every ``update_interval`` minibatch steps the
     target is rebuilt from all rows and the changed-assignment fraction
     is tested against delta; the first refresh only records the starting
-    labels.  The encoder is updated in place.  Minibatch gradients are
-    averaged over the batch rows so the learning rate does not depend on
-    the batch size.
+    labels.  The encoder blocks and the centroids step together under
+    one Adam state; the encoder is updated in place.  Minibatch gradients
+    are averaged over the batch rows so the learning rate does not depend
+    on the batch size.
     """
     config.validate()
     x = features.values
@@ -210,73 +211,53 @@ def dec_fit(
     if config.k > features.n:
         raise ConfigError(f"k = {config.k} exceeds the number of rows n = {features.n}")
 
-    _, z_full = neural.forward(encoder_params, x)
-    km = kmeans_fit(z_full, config.k, rng, restarts=config.kmeans_restarts)
+    _, z = neural.forward(encoder_params, x)
+    km = kmeans_fit(z, config.k, rng, restarts=config.kmeans_restarts)
     mu = km.centroids.copy()
 
-    opt_encoder = neural.adam_init(encoder_params, config.optimizer)
-    opt_mu = neural.adam_init_blocks([mu], config.optimizer, names=["centroids"])
+    blocks = encoder_params.blocks() + [mu]
+    opt = neural.adam_init(blocks, config.optimizer, encoder_params.block_names() + ["centroids"])
+    batches = neural.minibatches(features.n, config.batch_size, rng)
 
     records: list[RefreshRecord] = []
     p_full: np.ndarray | None = None
-    state: AssignmentState | None = None
     last_hard: np.ndarray | None = None
-    converged = False
     iteration = 0
-    order = np.empty(0, dtype=np.int64)
-    cursor = 0
-
-    def refresh(reuse_z: np.ndarray | None = None):
-        nonlocal p_full, state, last_hard, converged
-        z = reuse_z if reuse_z is not None else neural.forward(encoder_params, x)[1]
+    while True:
         q = soft_assign(z, mu)
         hard = np.argmax(q, axis=1).astype(np.int64)
-        index = len(records)
         p_new = target_distribution(q)
         kl_fresh = kl_loss(p_new, q)
-        kl_frozen = kl_fresh if p_full is None else kl_loss(p_full, q)
         changed = None if last_hard is None else _changed_fraction(hard, last_hard)
         records.append(
             RefreshRecord(
-                refresh_index=index,
+                refresh_index=len(records),
                 iteration=iteration,
-                kl_full=kl_frozen,
+                kl_full=kl_fresh if p_full is None else kl_loss(p_full, q),
                 kl_fresh=kl_fresh,
                 changed_fraction=changed,
             )
         )
-        state = AssignmentState(
-            q=q, p=p_new, hard=hard, last_hard=last_hard, iteration=iteration
-        )
-        if changed is not None and changed < config.delta:
-            converged = True
-        p_full = p_new
-        last_hard = hard
-
-    refresh(reuse_z=z_full)
-    while not converged and iteration < config.max_iterations:
-        if len(order) - cursor <= 0:
-            order = rng.permutation(features.n)
-            cursor = 0
-        idx = order[cursor : cursor + config.batch_size]
-        cursor += config.batch_size
-        xb = x[idx]
-        acts, zb = neural.forward(encoder_params, xb)
-        grad_z, grad_mu = kl_grads(zb, mu, p_full[idx])
-        nb = idx.shape[0]
-        grad_z /= nb
-        grad_mu /= nb
-        param_grads = neural.backward(encoder_params, acts, grad_z)
-        neural.adam_step(encoder_params, param_grads, opt_encoder)
-        neural.adam_step_blocks([mu], [grad_mu], opt_mu)
-        iteration += 1
-        if iteration % config.update_interval == 0:
-            refresh()
-    if not converged and records[-1].iteration != iteration:
-        # Cap hit mid-window: refresh once more so the returned state
-        # matches the final parameters.
-        refresh()
-        converged = False
+        state = AssignmentState(q=q, p=p_new, hard=hard, last_hard=last_hard, iteration=iteration)
+        # Only a refresh on a window boundary can converge: one forced by
+        # the cap mid-window just snapshots the final parameters.
+        converged = (changed is not None and changed < config.delta
+                     and iteration % config.update_interval == 0)
+        p_full, last_hard = p_new, hard
+        if converged or iteration >= config.max_iterations:
+            break
+        for _ in range(min(config.update_interval, config.max_iterations - iteration)):
+            idx = next(batches)
+            acts, zb = neural.forward(encoder_params, x[idx])
+            grad_z, grad_mu = kl_grads(zb, mu, p_full[idx])
+            nb = idx.shape[0]
+            grad_z /= nb
+            grad_mu /= nb
+            neural.adam_step_blocks(
+                blocks, neural.backward(encoder_params, acts, grad_z) + [grad_mu], opt
+            )
+            iteration += 1
+        z = neural.forward(encoder_params, x)[1]
 
     history = DecHistory(
         records=records,

@@ -6,6 +6,12 @@ with a bias per output unit; supported activations are "relu" and
 zero, drawn from the package generator so initialisation is
 reproducible from the seed alone.
 
+A network's parameters are one list of blocks, w0, b0, w1, b1, ...
+(``MlpParams.blocks``); ``backward`` returns one gradient per block in
+that order.  Adam runs over any block list, so a caller that trains
+more than the network (the cluster centroids) appends its own blocks
+and steps them all under one state.
+
 Checkpoints use the ``DELC`` container: magic bytes, u16 version, a
 length-prefixed JSON preamble describing the network and training
 phase, then one length-prefixed float64 little-endian block per weight
@@ -18,7 +24,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,8 +83,15 @@ class MlpParams:
     def activations(self) -> list[str]:
         return [layer.activation for layer in self.layers]
 
+    def blocks(self) -> list[np.ndarray]:
+        """Every weight and bias array, in layer order: w0, b0, w1, b1, ..."""
+        return [block for layer in self.layers for block in (layer.w, layer.b)]
+
+    def block_names(self) -> list[str]:
+        return [f"layer{i}.{attr}" for i in range(len(self.layers)) for attr in "wb"]
+
     def n_params(self) -> int:
-        return sum(layer.w.size + layer.b.size for layer in self.layers)
+        return sum(block.size for block in self.blocks())
 
     def copy(self) -> "MlpParams":
         return MlpParams(
@@ -134,12 +147,12 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndar
 
 def backward(
     params: MlpParams, acts: list[np.ndarray], output_grad: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[np.ndarray]:
     """Backpropagate a loss gradient through the chain.
 
     ``acts`` must come from forward() on the same parameters.  Returns
-    per-layer (weight grad, bias grad) pairs in layer order; the gradient
-    with respect to the input batch is not computed.
+    one gradient per block of ``params.blocks()``, in that order; the
+    gradient with respect to the input batch is not computed.
     """
     if len(acts) != len(params.layers) + 1:
         raise ShapeError(
@@ -151,13 +164,13 @@ def backward(
             f"output grad shape {output_grad.shape} does not match "
             f"output shape {acts[-1].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    grads: list[np.ndarray] = [None] * (2 * len(params.layers))
     g = output_grad
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
         if layer.activation == "relu":
             g = g * (acts[i + 1] > 0.0)
-        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+        grads[2 * i : 2 * i + 2] = g.T @ acts[i], g.sum(axis=0)
         if i:
             g = g @ layer.w
     return grads
@@ -207,7 +220,8 @@ class AdamState:
     names: list[str] = field(default_factory=list)
 
 
-def adam_init_blocks(blocks: Sequence[np.ndarray], config: AdamConfig, names=None) -> AdamState:
+def adam_init(blocks: Sequence[np.ndarray], config: AdamConfig, names=None) -> AdamState:
+    """Zero moments for a list of parameter blocks, named for error messages."""
     config.validate()
     if names is None:
         names = [f"block{i}" for i in range(len(blocks))]
@@ -222,10 +236,16 @@ def adam_init_blocks(blocks: Sequence[np.ndarray], config: AdamConfig, names=Non
 def adam_step_blocks(
     blocks: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
 ) -> None:
-    """One Adam update, in place, over parallel parameter and grad lists."""
+    """One Adam update, in place, over parallel parameter and grad lists.
+
+    Every gradient is checked, shape and finiteness, before anything
+    moves, so a failed step leaves blocks, moments and ``t`` as they were.
+    """
     if len(blocks) != len(state.m) or len(grads) != len(state.m):
         raise ShapeError("parameter, gradient and moment lists differ in length")
-    for name, g in zip(state.names, grads):
+    for name, p, g in zip(state.names, blocks, grads):
+        if p.shape != g.shape:
+            raise ShapeError(f"gradient for {name} has shape {g.shape}, block has {p.shape}")
         if not np.isfinite(g).all():
             raise NumericError(f"gradient for {name} is not finite")
     cfg = state.config
@@ -233,8 +253,6 @@ def adam_step_blocks(
     correct1 = 1.0 - cfg.beta1**state.t
     correct2 = 1.0 - cfg.beta2**state.t
     for p, g, m, v in zip(blocks, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match block {p.shape}")
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
@@ -242,29 +260,19 @@ def adam_step_blocks(
         p -= cfg.lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
 
 
-def adam_init(params: MlpParams, config: AdamConfig) -> AdamState:
-    blocks, names = _param_blocks(params)
-    return adam_init_blocks(blocks, config, names)
+def adam_step(params: MlpParams, grads: Sequence[np.ndarray], state: AdamState) -> None:
+    """One Adam update over every weight and bias of ``params``, in place."""
+    adam_step_blocks(params.blocks(), grads, state)
 
 
-def adam_step(
-    params: MlpParams, grads: Sequence[tuple[np.ndarray, np.ndarray]], state: AdamState
-) -> None:
-    """One Adam update over every weight and bias, in place."""
-    blocks, _ = _param_blocks(params)
-    flat = []
-    for dw, db in grads:
-        flat.append(dw)
-        flat.append(db)
-    adam_step_blocks(blocks, flat, state)
-
-
-def _param_blocks(params: MlpParams):
-    blocks, names = [], []
-    for i, layer in enumerate(params.layers):
-        blocks += [layer.w, layer.b]
-        names += [f"layer{i}.w", f"layer{i}.b"]
-    return blocks, names
+def minibatches(n: int, batch_size: int, rng: Rng) -> Iterator[np.ndarray]:
+    """Row-index batches without end: each epoch is a fresh permutation of
+    ``range(n)`` cut into ``batch_size`` pieces, the last one short.  An
+    epoch draws its permutation only when its first batch is taken."""
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
 
 
 def numeric_gradient(
@@ -313,10 +321,7 @@ class Checkpoint:
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     if ckpt.phase not in PHASES:
         raise ConfigError(f"unknown training phase {ckpt.phase!r}")
-    blocks: list[tuple[str, np.ndarray]] = []
-    for i, layer in enumerate(ckpt.params.layers):
-        blocks.append((f"layer{i}.w", layer.w))
-        blocks.append((f"layer{i}.b", layer.b))
+    blocks = list(zip(ckpt.params.block_names(), ckpt.params.blocks()))
     if ckpt.centroids is not None:
         blocks.append(("centroids", np.asarray(ckpt.centroids, dtype=np.float64)))
     preamble = {

@@ -97,12 +97,9 @@ def test_gradient_correctness(capsys):
         # reconstruction loss against every parameter block
         acts, out = forward(ae, x)
         grads = backward(ae, acts, mse_grad(out, x))
-        for layer, (gw, gb) in zip(ae.layers, grads):
-            for block, analytic in ((layer.w, gw), (layer.b, gb)):
-                numeric = numeric_gradient(
-                    lambda _: mse_loss(forward(ae, x)[1], x), block
-                )
-                worst = max(worst, _rel_error(analytic, numeric))
+        for block, analytic in zip(ae.blocks(), grads):
+            numeric = numeric_gradient(lambda _: mse_loss(forward(ae, x)[1], x), block)
+            worst = max(worst, _rel_error(analytic, numeric))
 
         # assignment divergence against encoder parameters, with the
         # sharpened target held fixed the way the training loop holds it
@@ -112,12 +109,11 @@ def test_gradient_correctness(capsys):
         p = target_distribution(soft_assign(z, mu))
         gz, gmu = kl_grads(z, mu, p)
         pgrads = backward(enc, acts, gz)
-        for layer, (gw, gb) in zip(enc.layers, pgrads):
-            for block, analytic in ((layer.w, gw), (layer.b, gb)):
-                numeric = numeric_gradient(
-                    lambda _: kl_loss(p, soft_assign(forward(enc, x)[1], mu)), block
-                )
-                worst = max(worst, _rel_error(analytic, numeric))
+        for block, analytic in zip(enc.blocks(), pgrads):
+            numeric = numeric_gradient(
+                lambda _: kl_loss(p, soft_assign(forward(enc, x)[1], mu)), block
+            )
+            worst = max(worst, _rel_error(analytic, numeric))
         numeric = numeric_gradient(lambda _: kl_loss(p, soft_assign(z, mu)), z)
         worst = max(worst, _rel_error(gz, numeric))
         numeric = numeric_gradient(lambda _: kl_loss(p, soft_assign(z, mu)), mu)

@@ -155,6 +155,36 @@ def test_pretrain_rejects_width_mismatch():
         pretrain(build(spec, Rng(0)), fm, spec, Rng(0))
 
 
+def test_pretrain_bit_equal_to_frozen_loop():
+    # The loop as written before pretraining and the joint loop shared one
+    # batch stream: a fresh permutation per epoch, cut into batches.
+    spec = AutoencoderSpec(
+        input_dim=12, encoder_dims=(6, 3), batch_size=20, epochs=4,
+        optimizer=AdamConfig(lr=0.005),
+    )
+    fm = _blob_features(n=70)  # batches of 20, 20, 20, 10
+    rng_new, rng_old = Rng(40), Rng(40)
+    params, report = pretrain(build(spec, Rng(41)), fm, spec, rng_new)
+
+    frozen = build(spec, Rng(41))
+    state = neural.adam_init(frozen.blocks(), spec.optimizer)
+    losses = []
+    for _ in range(spec.epochs):
+        order, batch_losses = rng_old.permutation(fm.n), []
+        for start in range(0, fm.n, spec.batch_size):
+            xb = fm.values[order[start : start + spec.batch_size]]
+            acts, recon = neural.forward(frozen, xb)
+            batch_losses.append(neural.mse_loss(recon, xb))
+            grads = neural.backward(frozen, acts, neural.mse_grad(recon, xb))
+            neural.adam_step_blocks(frozen.blocks(), grads, state)
+        losses.append(float(np.mean(batch_losses)))
+
+    assert [loss.hex() for loss in report.losses] == [loss.hex() for loss in losses]
+    for new, old in zip(params.blocks(), frozen.blocks()):
+        assert new.tobytes() == old.tobytes()
+    assert rng_new.next_u64() == rng_old.next_u64()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_pretrain_nonfinite_aborts_with_last_good():
     # Values around 1e200 overflow the squared error immediately.

@@ -563,6 +563,32 @@ def test_inconsistent_checkpoint_exit_3(workspace, tmp_path, capsys, edit):
     assert not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--labels-manifest", "--assignments"])
+def test_project_stratifier_without_sampling_exit_2(workspace, tmp_path, capsys, flag):
+    # --fraction 1 (the default) samples nothing, so the file would go
+    # unread; it must not be accepted, malformed or not.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a\nvalid,file,at all\n")
+    out = tmp_path / "xy.csv"
+    code = main(["project", "--features", workspace["embedded"], "--method", "pca",
+                 flag, str(bad), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} stratifies a sample and needs --fraction below 1" in err
+    assert "load stage" not in err
+    assert not out.exists() and not (tmp_path / "xy.csv.manifest.json").exists()
+
+
+def test_project_both_stratifiers_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "xy.csv"
+    code = main(["project", "--features", workspace["embedded"], "--method", "pca",
+                 "--fraction", "0.5", "--labels-manifest", workspace["manifest"],
+                 "--assignments", str(tmp_path / "nope.csv"), "--out", str(out)])
+    assert code == 2
+    assert "give one" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "xy.csv.manifest.json").exists()
+
+
 def _truncated_maps(workspace, tmp_path):
     maps = tmp_path / "t.delm"
     write_feature_maps(FeatureMapBlock(values=np.ones((2, 3, 4))), str(maps))
@@ -760,9 +786,8 @@ def _manifest_cases(workspace, tmp_path):
           "--out", out("b.json"), "--out-assignments", out("b.csv")],
          out("b.json.manifest.json"), [w["features"], w["ae"], w["manifest"]]),
         (["project", "--features", w["embedded"], "--method", "pca", "--fraction", "0.5",
-          "--labels-manifest", w["manifest"], "--assignments", w["assignments"],
-          "--out", out("xy2.csv")],
-         out("xy2.csv.manifest.json"), [w["embedded"], w["manifest"], w["assignments"]]),
+          "--labels-manifest", w["manifest"], "--out", out("xy2.csv")],
+         out("xy2.csv.manifest.json"), [w["embedded"], w["manifest"]]),
         (["plot", "--xy", xy, "--assignments", w["assignments"], "--out", out("s.svg")],
          out("s.svg.manifest.json"), [xy, w["assignments"]]),
         (["run", "--features", w["features"], "--k", str(K), "--labels-manifest", w["manifest"],

@@ -428,6 +428,115 @@ def test_history_csv_format(tmp_path):
         assert float(cells[2]) == rec.kl_full
 
 
+# The joint loop as it was written before the encoder and the centroids
+# shared one optimizer state: a refresh closure, two Adam states and a
+# hand-kept permutation cursor.  dec_fit must reproduce it bit for bit.
+
+
+def _frozen_dec_fit(features, encoder_params, config, rng):
+    from delius.dec import _changed_fraction
+
+    x = features.values
+    _, z_full = neural.forward(encoder_params, x)
+    km = kmeans.kmeans_fit(z_full, config.k, rng, restarts=config.kmeans_restarts)
+    mu = km.centroids.copy()
+    opt_encoder = neural.adam_init(encoder_params.blocks(), config.optimizer)
+    opt_mu = neural.adam_init([mu], config.optimizer)
+    records, out = [], {"p_full": None, "last_hard": None, "converged": False}
+    iteration = 0
+    order = np.empty(0, dtype=np.int64)
+    cursor = 0
+
+    def refresh(reuse_z=None):
+        z = reuse_z if reuse_z is not None else neural.forward(encoder_params, x)[1]
+        q = soft_assign(z, mu)
+        hard = np.argmax(q, axis=1).astype(np.int64)
+        p_new = target_distribution(q)
+        kl_fresh = kl_loss(p_new, q)
+        kl_frozen = kl_fresh if out["p_full"] is None else kl_loss(out["p_full"], q)
+        last_hard = out["last_hard"]
+        changed = None if last_hard is None else _changed_fraction(hard, last_hard)
+        records.append((len(records), iteration, kl_frozen, kl_fresh, changed))
+        out["state"] = (q, p_new, hard, last_hard, iteration)
+        if changed is not None and changed < config.delta:
+            out["converged"] = True
+        out["p_full"], out["last_hard"] = p_new, hard
+
+    refresh(reuse_z=z_full)
+    while not out["converged"] and iteration < config.max_iterations:
+        if len(order) - cursor <= 0:
+            order = rng.permutation(features.n)
+            cursor = 0
+        idx = order[cursor : cursor + config.batch_size]
+        cursor += config.batch_size
+        acts, zb = neural.forward(encoder_params, x[idx])
+        grad_z, grad_mu = kl_grads(zb, mu, out["p_full"][idx])
+        nb = idx.shape[0]
+        grad_z /= nb
+        grad_mu /= nb
+        param_grads = neural.backward(encoder_params, acts, grad_z)
+        neural.adam_step_blocks(encoder_params.blocks(), param_grads, opt_encoder)
+        neural.adam_step_blocks([mu], [grad_mu], opt_mu)
+        iteration += 1
+        if iteration % config.update_interval == 0:
+            refresh()
+    if not out["converged"] and records[-1][1] != iteration:
+        refresh()
+        out["converged"] = False
+    return encoder_params, mu, records, out, iteration, km.labels
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize(
+    "case, overrides",
+    [
+        ("converged at a scheduled refresh", dict(update_interval=20, max_iterations=2000)),
+        ("cap mid-window", dict(update_interval=15, delta=1.0, max_iterations=10)),
+        ("cap on a boundary", dict(update_interval=12, delta=1e-9, max_iterations=48)),
+        ("no iterations", dict(max_iterations=0)),
+        ("batch of all rows", dict(update_interval=7, batch_size=90, max_iterations=30)),
+        ("batch above n", dict(update_interval=5, batch_size=200, max_iterations=17)),
+    ],
+)
+def test_dec_fit_bit_equal_to_frozen_loop(case, overrides):
+    fm, _ = _blob_setup(seed=30)  # 90 rows
+    enc = _pretrained_encoder(fm, seed=31, epochs=10)
+    cfg = DecConfig(k=3, **{"batch_size": 32, **overrides})
+    rng_new, rng_old = Rng(32), Rng(32)
+    result = dec_fit(fm, enc.copy(), cfg, rng_new)
+    enc_old, mu_old, records, out, iterations, labels = _frozen_dec_fit(
+        fm, enc.copy(), cfg, rng_old
+    )
+    if case == "converged at a scheduled refresh":
+        assert out["converged"]
+    if case == "cap mid-window":
+        assert not out["converged"] and records[-1][1] == 10
+    history = result.history
+    assert history.converged == out["converged"]
+    assert history.iterations_run == iterations
+    assert np.array_equal(history.initial_labels, labels)
+    for new, old in zip(result.encoder.blocks(), enc_old.blocks()):
+        assert new.tobytes() == old.tobytes()
+    assert result.centroids.tobytes() == mu_old.tobytes()
+    assert [
+        (r.refresh_index, r.iteration, _hex(r.kl_full), _hex(r.kl_fresh), _hex(r.changed_fraction))
+        for r in history.records
+    ] == [(i, it, _hex(kl), _hex(fresh), _hex(ch)) for i, it, kl, fresh, ch in records]
+    q, p, hard, last_hard, iteration = out["state"]
+    state = result.state
+    assert state.q.tobytes() == q.tobytes() and state.p.tobytes() == p.tobytes()
+    assert np.array_equal(state.hard, hard) and state.iteration == iteration
+    if last_hard is None:
+        assert state.last_hard is None
+    else:
+        assert np.array_equal(state.last_hard, last_hard)
+    # Both drew the same permutations, and no more: the generators agree.
+    assert rng_new.next_u64() == rng_old.next_u64()
+
+
 def test_soft_assign_and_grads_independent_of_memory_layout():
     rng = np.random.default_rng(8)
     z = rng.normal(scale=3.0, size=(2000, 10))

@@ -16,7 +16,6 @@ from delius.neural import (
     DenseLayer,
     MlpParams,
     adam_init,
-    adam_init_blocks,
     adam_step,
     adam_step_blocks,
     backward,
@@ -180,7 +179,7 @@ def _gradcheck(params, x, rel_tol):
     grads = backward(params, acts, mse_grad(out, x))
     worst = 0.0
     for i, layer in enumerate(params.layers):
-        for attr, analytic in (("w", grads[i][0]), ("b", grads[i][1])):
+        for attr, analytic in (("w", grads[2 * i]), ("b", grads[2 * i + 1])):
             block = getattr(layer, attr)
 
             def f(values, attr=attr, layer=layer):
@@ -233,9 +232,9 @@ def test_inactive_relu_unit_gets_zero_weight_grad():
     x = np.abs(np.random.default_rng(7).normal(size=(5, 2)))
     acts, out = forward(params, x)
     grads = backward(params, acts, mse_grad(out, x))
-    assert np.array_equal(grads[0][0][0], [0.0, 0.0])
-    assert grads[0][1][0] == 0.0
-    assert np.abs(grads[0][0][1]).sum() > 0
+    assert np.array_equal(grads[0][0], [0.0, 0.0])
+    assert grads[1][0] == 0.0
+    assert np.abs(grads[0][1]).sum() > 0
 
 
 def test_backward_rejects_wrong_activation_count():
@@ -254,7 +253,7 @@ def test_adam_first_step_has_unit_scale():
     # parameter with any non-zero gradient moves by almost exactly lr.
     p = np.array([1.0, 2.0, 3.0])
     g = np.array([0.5, -2.0, 10.0])
-    state = adam_init_blocks([p], AdamConfig(lr=0.1))
+    state = adam_init([p], AdamConfig(lr=0.1))
     adam_step_blocks([p], [g], state)
     expected = np.array([1.0, 2.0, 3.0]) - 0.1 * np.sign(g)
     assert np.allclose(p, expected, atol=1e-6)
@@ -274,7 +273,7 @@ def test_adam_two_steps_match_reference_recurrence():
         mhat = m / (1 - 0.9**t)
         vhat = v / (1 - 0.999**t)
         expected -= 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-    state = adam_init_blocks([p], cfg)
+    state = adam_init([p], cfg)
     for g in gradients:
         adam_step_blocks([p], [g], state)
     assert p[0] == pytest.approx(expected, abs=1e-15)
@@ -282,7 +281,7 @@ def test_adam_two_steps_match_reference_recurrence():
 
 def test_adam_zero_lr_freezes_params_but_advances():
     p = np.array([1.0])
-    state = adam_init_blocks([p], AdamConfig(lr=0.0))
+    state = adam_init([p], AdamConfig(lr=0.0))
     adam_step_blocks([p], [np.array([5.0])], state)
     assert p[0] == 1.0
     assert state.t == 1
@@ -291,7 +290,7 @@ def test_adam_zero_lr_freezes_params_but_advances():
 
 def test_adam_nonfinite_gradient_raises_before_mutation():
     p = np.array([1.0, 2.0])
-    state = adam_init_blocks([p], AdamConfig(), names=["weights"])
+    state = adam_init([p], AdamConfig(), names=["weights"])
     with pytest.raises(NumericError, match="weights"):
         adam_step_blocks([p], [np.array([1.0, np.nan])], state)
     assert np.array_equal(p, [1.0, 2.0])
@@ -300,7 +299,7 @@ def test_adam_nonfinite_gradient_raises_before_mutation():
 
 def test_adam_partial_nonfinite_leaves_all_blocks_untouched():
     a, b = np.array([1.0]), np.array([2.0])
-    state = adam_init_blocks([a, b], AdamConfig())
+    state = adam_init([a, b], AdamConfig())
     with pytest.raises(NumericError):
         adam_step_blocks([a, b], [np.array([1.0]), np.array([np.inf])], state)
     assert a[0] == 1.0 and b[0] == 2.0
@@ -308,15 +307,45 @@ def test_adam_partial_nonfinite_leaves_all_blocks_untouched():
 
 def test_adam_shape_mismatch():
     p = np.array([1.0, 2.0])
-    state = adam_init_blocks([p], AdamConfig())
+    state = adam_init([p], AdamConfig())
     with pytest.raises(ShapeError):
         adam_step_blocks([p], [np.array([1.0])], state)
+
+
+def test_adam_shape_mismatch_leaves_all_blocks_untouched():
+    # The bad gradient comes second: the first block, the moments and the
+    # step count must not have moved when the error is raised.
+    a, b = np.array([1.0]), np.array([2.0, 3.0])
+    state = adam_init([a, b], AdamConfig(), names=["first", "second"])
+    with pytest.raises(ShapeError, match="second"):
+        adam_step_blocks([a, b], [np.array([1.0]), np.array([1.0])], state)
+    assert a[0] == 1.0 and np.array_equal(b, [2.0, 3.0])
+    assert state.t == 0
+    assert not state.m[0].any() and not state.v[0].any()
+
+
+def test_minibatches_draw_each_epoch_when_first_taken():
+    rng, reference = Rng(3), Rng(3)
+    batches = neural.minibatches(5, 2, rng)
+    for _ in range(3):
+        order = reference.permutation(5).tolist()
+        assert [next(batches).tolist() for _ in range(3)] == [order[0:2], order[2:4], order[4:]]
+    # Three whole epochs taken: the fourth permutation is not drawn yet.
+    assert rng.next_u64() == reference.next_u64()
+
+
+def test_blocks_and_names_in_layer_order():
+    params = _net([4, 3, 2], ["relu", "identity"])
+    blocks = params.blocks()
+    assert params.block_names() == ["layer0.w", "layer0.b", "layer1.w", "layer1.b"]
+    assert blocks[0] is params.layers[0].w and blocks[3] is params.layers[1].b
+    assert params.n_params() == sum(block.size for block in blocks)
 
 
 def test_adam_over_network_params_deterministic():
     def run():
         params = _net([4, 3, 4], ["relu", "identity"], seed=11)
-        state = adam_init(params, AdamConfig(lr=0.01))
+        state = adam_init(params.blocks(), AdamConfig(lr=0.01), params.block_names())
         x = Rng(12).normal((6, 4))
         for _ in range(20):
             acts, out = forward(params, x)
@@ -332,7 +361,7 @@ def test_adam_over_network_params_deterministic():
 
 def test_adam_reduces_quadratic_loss():
     p = np.array([10.0])
-    state = adam_init_blocks([p], AdamConfig(lr=0.1))
+    state = adam_init([p], AdamConfig(lr=0.1))
     for _ in range(500):
         adam_step_blocks([p], [2.0 * p], state)
     assert abs(p[0]) < 0.5
@@ -340,11 +369,11 @@ def test_adam_reduces_quadratic_loss():
 
 def test_adam_config_validation():
     with pytest.raises(ConfigError):
-        adam_init_blocks([np.zeros(1)], AdamConfig(lr=-1.0))
+        adam_init([np.zeros(1)], AdamConfig(lr=-1.0))
     with pytest.raises(ConfigError):
-        adam_init_blocks([np.zeros(1)], AdamConfig(beta1=1.0))
+        adam_init([np.zeros(1)], AdamConfig(beta1=1.0))
     with pytest.raises(ConfigError):
-        adam_init_blocks([np.zeros(1)], AdamConfig(epsilon=0.0))
+        adam_init([np.zeros(1)], AdamConfig(epsilon=0.0))
 
 
 # ---------------------------------------------------------------------------
