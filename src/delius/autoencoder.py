@@ -102,6 +102,22 @@ def encode(params: MlpParams, features) -> np.ndarray:
     return out
 
 
+def _reconstruction_step(
+    params: MlpParams, xb: np.ndarray, grads: list[np.ndarray], state: neural.AdamState
+) -> float:
+    """One Adam step on a batch's reconstruction loss, which it returns.
+
+    A non-finite loss is returned before anything moves.  The batch's
+    activations die with the call, before the next batch's forward pass.
+    """
+    acts, recon = neural.forward(params, xb)
+    loss = neural.mse_loss(recon, xb)
+    if np.isfinite(loss):
+        neural.backward(params, acts, neural.mse_grad(recon, xb), out=grads)
+        neural.adam_step(params, grads, state)
+    return loss
+
+
 def pretrain(
     params: MlpParams, features: FeatureMatrix, spec: AutoencoderSpec, rng: Rng
 ) -> tuple[MlpParams, PretrainReport]:
@@ -122,15 +138,14 @@ def pretrain(
         )
     started = time.monotonic()
     state = neural.adam_init(params.blocks(), spec.optimizer, params.block_names())
+    grads = [np.empty(block.shape) for block in params.blocks()]
     batches = neural.minibatches(features.n, spec.batch_size, rng)
     losses: list[float] = []
     last_good = params.copy()
     for epoch in range(spec.epochs):
         batch_losses = []
         for idx in itertools.islice(batches, math.ceil(features.n / spec.batch_size)):
-            xb = x[idx]
-            acts, recon = neural.forward(params, xb)
-            loss = neural.mse_loss(recon, xb)
+            loss = _reconstruction_step(params, x[idx], grads, state)
             if not np.isfinite(loss):
                 err = NumericError(
                     f"reconstruction loss became non-finite in epoch {epoch}"
@@ -138,10 +153,10 @@ def pretrain(
                 err.last_good = last_good
                 raise err
             batch_losses.append(loss)
-            grads = neural.backward(params, acts, neural.mse_grad(recon, xb))
-            neural.adam_step(params, grads, state)
         losses.append(float(np.mean(batch_losses)))
-        last_good = params.copy()
+        if epoch + 1 < spec.epochs:
+            for kept, block in zip(last_good.blocks(), params.blocks()):
+                np.copyto(kept, block)
     report = PretrainReport(
         losses=losses,
         final_loss=losses[-1],

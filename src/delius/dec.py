@@ -101,13 +101,20 @@ class DecResult:
     history: DecHistory
 
 
+def _centroid_sq_distances(mu: np.ndarray) -> np.ndarray:
+    """``sq_distances(mu, mu)``, the same sums bit for bit, as one k x k x m
+    broadcast instead of a loop over the k centroids."""
+    diff = mu[:, None, :] - mu[None, :, :]
+    return np.einsum("ijm,ijm->ij", diff, diff)
+
+
 def _check_centroids(mu: np.ndarray) -> np.ndarray:
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     if mu.ndim != 2:
         raise ShapeError(f"centroids must be 2-d, got shape {mu.shape}")
     if not np.isfinite(mu).all():
         raise NumericError("centroids contain non-finite values")
-    sq = sq_distances(mu, mu)
+    sq = _centroid_sq_distances(mu)
     np.fill_diagonal(sq, np.inf)
     if sq.min() < _CENTROID_SEPARATION_SQ:
         a, b = np.unravel_index(int(np.argmin(sq)), sq.shape)
@@ -187,6 +194,26 @@ def _changed_fraction(hard: np.ndarray, last_hard: np.ndarray) -> float:
     return float(np.mean(hard != last_hard))
 
 
+def _joint_step(
+    encoder_params: MlpParams,
+    blocks: list[np.ndarray],
+    xb: np.ndarray,
+    pb: np.ndarray,
+    grads: list[np.ndarray],
+    opt: neural.AdamState,
+) -> None:
+    """One Adam step of the encoder and the centroids (``blocks[-1]``) on
+    a batch's KL loss, with the encoder's gradients written into
+    ``grads``.  The batch's activations die with the call."""
+    acts, zb = neural.forward(encoder_params, xb)
+    grad_z, grad_mu = kl_grads(zb, blocks[-1], pb)
+    nb = xb.shape[0]
+    grad_z /= nb
+    grad_mu /= nb
+    neural.backward(encoder_params, acts, grad_z, out=grads)
+    neural.adam_step_blocks(blocks, grads + [grad_mu], opt)
+
+
 def dec_fit(
     features: FeatureMatrix, encoder_params: MlpParams, config: DecConfig, rng: Rng
 ) -> DecResult:
@@ -217,6 +244,7 @@ def dec_fit(
 
     blocks = encoder_params.blocks() + [mu]
     opt = neural.adam_init(blocks, config.optimizer, encoder_params.block_names() + ["centroids"])
+    grads = [np.empty(block.shape) for block in blocks[:-1]]
     batches = neural.minibatches(features.n, config.batch_size, rng)
 
     records: list[RefreshRecord] = []
@@ -248,14 +276,7 @@ def dec_fit(
             break
         for _ in range(min(config.update_interval, config.max_iterations - iteration)):
             idx = next(batches)
-            acts, zb = neural.forward(encoder_params, x[idx])
-            grad_z, grad_mu = kl_grads(zb, mu, p_full[idx])
-            nb = idx.shape[0]
-            grad_z /= nb
-            grad_mu /= nb
-            neural.adam_step_blocks(
-                blocks, neural.backward(encoder_params, acts, grad_z) + [grad_mu], opt
-            )
+            _joint_step(encoder_params, blocks, x[idx], p_full[idx], grads, opt)
             iteration += 1
         z = neural.forward(encoder_params, x)[1]
 

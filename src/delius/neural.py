@@ -8,9 +8,15 @@ reproducible from the seed alone.
 
 A network's parameters are one list of blocks, w0, b0, w1, b1, ...
 (``MlpParams.blocks``); ``backward`` returns one gradient per block in
-that order.  Adam runs over any block list, so a caller that trains
-more than the network (the cluster centroids) appends its own blocks
-and steps them all under one state.
+that order, written into the caller's arrays when it passes them as
+``out``, so a training loop reuses one gradient list for every step.
+Adam runs over any block list, so a caller that trains more than the
+network (the cluster centroids) appends its own blocks and steps them
+all under one state.  It updates each block in flat slices of
+``ADAM_CHUNK`` elements through two scratch buffers that the state
+allocates once: a step allocates nothing the size of a block, and each
+element sees the same float operations, in the same order, as a
+whole-block update.
 
 Checkpoints use the ``DELC`` container: magic bytes, u16 version, a
 length-prefixed JSON preamble describing the network and training
@@ -35,6 +41,8 @@ from .rng import Rng
 ACTIVATIONS = ("relu", "identity")
 
 INIT_STD = 0.01
+
+ADAM_CHUNK = 32768  # elements per slice of an Adam step: 256 KB per scratch buffer
 
 
 @dataclass
@@ -146,13 +154,18 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndar
 
 
 def backward(
-    params: MlpParams, acts: list[np.ndarray], output_grad: np.ndarray
+    params: MlpParams,
+    acts: list[np.ndarray],
+    output_grad: np.ndarray,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Backpropagate a loss gradient through the chain.
 
     ``acts`` must come from forward() on the same parameters.  Returns
     one gradient per block of ``params.blocks()``, in that order; the
-    gradient with respect to the input batch is not computed.
+    gradient with respect to the input batch is not computed.  With
+    ``out``, a list of C-ordered float64 arrays shaped like those
+    blocks, the gradients are written into it and ``out`` is returned.
     """
     if len(acts) != len(params.layers) + 1:
         raise ShapeError(
@@ -164,16 +177,21 @@ def backward(
             f"output grad shape {output_grad.shape} does not match "
             f"output shape {acts[-1].shape}"
         )
-    grads: list[np.ndarray] = [None] * (2 * len(params.layers))
+    blocks = params.blocks()
+    if out is None:
+        out = [np.empty(block.shape) for block in blocks]
+    elif len(out) != len(blocks) or any(o.shape != b.shape for o, b in zip(out, blocks)):
+        raise ShapeError("gradient buffers do not match the parameter blocks")
     g = output_grad
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
         if layer.activation == "relu":
             g = g * (acts[i + 1] > 0.0)
-        grads[2 * i : 2 * i + 2] = g.T @ acts[i], g.sum(axis=0)
+        np.matmul(g.T, acts[i], out=out[2 * i])
+        np.sum(g, axis=0, out=out[2 * i + 1])
         if i:
             g = g @ layer.w
-    return grads
+    return out
 
 
 def mse_loss(x_recon: np.ndarray, x: np.ndarray) -> float:
@@ -211,13 +229,17 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment buffers for a list of parameter blocks."""
+    """First and second moment buffers for a list of parameter blocks,
+    and the two scratch buffers a step computes each slice in."""
 
     config: AdamConfig
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
     names: list[str] = field(default_factory=list)
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+    )
 
 
 def adam_init(blocks: Sequence[np.ndarray], config: AdamConfig, names=None) -> AdamState:
@@ -227,8 +249,8 @@ def adam_init(blocks: Sequence[np.ndarray], config: AdamConfig, names=None) -> A
         names = [f"block{i}" for i in range(len(blocks))]
     return AdamState(
         config=config,
-        m=[np.zeros_like(b) for b in blocks],
-        v=[np.zeros_like(b) for b in blocks],
+        m=[np.zeros(b.shape) for b in blocks],
+        v=[np.zeros(b.shape) for b in blocks],
         names=list(names),
     )
 
@@ -240,24 +262,55 @@ def adam_step_blocks(
 
     Every gradient is checked, shape and finiteness, before anything
     moves, so a failed step leaves blocks, moments and ``t`` as they were.
+    Each block is updated ``ADAM_CHUNK`` elements at a time in the
+    state's scratch buffers, with the float operations of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + epsilon)
+
+    in that order, so the result is the same bits as a whole-block update.
     """
     if len(blocks) != len(state.m) or len(grads) != len(state.m):
         raise ShapeError("parameter, gradient and moment lists differ in length")
-    for name, p, g in zip(state.names, blocks, grads):
+    flat_grads = []
+    for name, p, g, m in zip(state.names, blocks, grads, state.m):
         if p.shape != g.shape:
             raise ShapeError(f"gradient for {name} has shape {g.shape}, block has {p.shape}")
-        if not np.isfinite(g).all():
-            raise NumericError(f"gradient for {name} is not finite")
+        if p.shape != m.shape:
+            raise ShapeError(f"block {name} has shape {p.shape}, its moments {m.shape}")
+        flat = np.ascontiguousarray(g).reshape(-1)
+        for start in range(0, flat.size, ADAM_CHUNK):
+            if not np.isfinite(flat[start : start + ADAM_CHUNK]).all():
+                raise NumericError(f"gradient for {name} is not finite")
+        flat_grads.append(flat)
     cfg = state.config
     state.t += 1
     correct1 = 1.0 - cfg.beta1**state.t
     correct2 = 1.0 - cfg.beta2**state.t
-    for p, g, m, v in zip(blocks, grads, state.m, state.v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        p -= cfg.lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
+    for p, g, m, v in zip(blocks, flat_grads, state.m, state.v):
+        flat_p = np.ascontiguousarray(p).reshape(-1)  # a view unless p is strided
+        m, v = m.reshape(-1), v.reshape(-1)
+        for start in range(0, g.size, ADAM_CHUNK):
+            end = min(start + ADAM_CHUNK, g.size)
+            s0, s1 = (buf[: end - start] for buf in state.scratch)
+            pc, gc, mc, vc = (a[start:end] for a in (flat_p, g, m, v))
+            np.multiply(mc, cfg.beta1, out=mc)
+            np.multiply(gc, 1.0 - cfg.beta1, out=s0)
+            np.add(mc, s0, out=mc)
+            np.multiply(vc, cfg.beta2, out=vc)
+            np.multiply(gc, gc, out=s0)
+            np.multiply(s0, 1.0 - cfg.beta2, out=s0)
+            np.add(vc, s0, out=vc)
+            np.divide(mc, correct1, out=s0)
+            np.multiply(s0, cfg.lr, out=s0)
+            np.divide(vc, correct2, out=s1)
+            np.sqrt(s1, out=s1)
+            np.add(s1, cfg.epsilon, out=s1)
+            np.divide(s0, s1, out=s0)
+            np.subtract(pc, s0, out=pc)
+        if not p.flags.c_contiguous:
+            p[...] = flat_p.reshape(p.shape)
 
 
 def adam_step(params: MlpParams, grads: Sequence[np.ndarray], state: AdamState) -> None:

@@ -1,5 +1,7 @@
 """Mirrored autoencoder construction and pretraining."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,71 @@ def test_pretrain_nonfinite_aborts_with_last_good():
     last_good = excinfo.value.last_good
     for la, lb in zip(last_good.layers, initial.layers):
         assert np.array_equal(la.w, lb.w)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_pretrain_last_good_is_the_last_completed_epoch():
+    # With an epsilon far above every gradient, Adam is gradient descent
+    # with step lr / epsilon = 2, under which this linear network diverges
+    # geometrically: the loss overflows a few epochs in, not at once.
+    spec = AutoencoderSpec(
+        input_dim=6, encoder_dims=(3,), batch_size=10, epochs=30,
+        optimizer=AdamConfig(lr=2e250, epsilon=1e250),
+    )
+    fm = _blob_features(n=40, d=6)  # four batches per epoch
+    with pytest.raises(NumericError) as excinfo:
+        pretrain(build(spec, Rng(1)), fm, spec, Rng(2))
+
+    # The loop as written when every epoch end took a fresh copy.
+    def frozen_loop():
+        params, rng = build(spec, Rng(1)), Rng(2)
+        state = neural.adam_init(params.blocks(), spec.optimizer)
+        last_good = params.copy()
+        for epoch in range(spec.epochs):
+            order = rng.permutation(fm.n)
+            for start in range(0, fm.n, spec.batch_size):
+                xb = fm.values[order[start : start + spec.batch_size]]
+                acts, recon = neural.forward(params, xb)
+                if not np.isfinite(neural.mse_loss(recon, xb)):
+                    return epoch, last_good
+                grads = neural.backward(params, acts, neural.mse_grad(recon, xb))
+                neural.adam_step_blocks(params.blocks(), grads, state)
+            last_good = params.copy()
+        raise AssertionError("the frozen loop never diverged")
+
+    failed_epoch, last_good = frozen_loop()
+    assert failed_epoch >= 1
+    assert f"in epoch {failed_epoch}" in str(excinfo.value)
+    for new, old in zip(excinfo.value.last_good.blocks(), last_good.blocks()):
+        assert new.tobytes() == old.tobytes()
+
+
+def test_pretrain_traced_peak_bounded_by_parameter_bytes():
+    # The parameters (1.7 MB) outweigh a batch's activations (0.3 MB), so
+    # the peak shows what training holds per parameter.  The two Adam
+    # moments, the gradients and last_good are four parameter-sized
+    # arrays; all the rest (activations, Adam's scratch buffers) must stay
+    # under one more.  Keeping two steps' gradients alive, a fresh copy for
+    # last_good and whole-block Adam temporaries together reach 5.6.
+    spec = AutoencoderSpec(input_dim=256, encoder_dims=(400, 10), batch_size=32, epochs=3)
+    fm = FeatureMatrix.from_array(Rng(1).normal((256, 256)))
+    params = build(spec, Rng(2))
+    param_bytes = 8 * params.n_params()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        pretrain(params, fm, spec, Rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before < 5 * param_bytes, (
+        f"traced peak {peak - before} B is {(peak - before) / param_bytes:.2f} x the "
+        f"{param_bytes} B of parameters"
+    )
 
 
 def test_loss_csv_roundtrip(tmp_path):

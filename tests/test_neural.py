@@ -237,6 +237,37 @@ def test_inactive_relu_unit_gets_zero_weight_grad():
     assert np.abs(grads[0][1]).sum() > 0
 
 
+def test_backward_out_bit_equal_and_returned():
+    params = _net([7, 5, 3, 5, 7], ["relu", "identity", "relu", "identity"], seed=4)
+    x = Rng(5).normal((9, 7))
+    acts, out = forward(params, x)
+    grad = mse_grad(out, x)
+    # The backward pass as written before it took ``out``.
+    frozen, g = [None] * (2 * len(params.layers)), grad
+    for i in range(len(params.layers) - 1, -1, -1):
+        if params.layers[i].activation == "relu":
+            g = g * (acts[i + 1] > 0.0)
+        frozen[2 * i : 2 * i + 2] = g.T @ acts[i], g.sum(axis=0)
+        if i:
+            g = g @ params.layers[i].w
+    bufs = [np.full(block.shape, np.nan) for block in params.blocks()]
+    assert backward(params, acts, grad, out=bufs) is bufs
+    for fresh, written, old in zip(backward(params, acts, grad), bufs, frozen):
+        assert fresh.tobytes() == old.tobytes()
+        assert written.tobytes() == old.tobytes()
+
+
+def test_backward_rejects_mismatched_out():
+    params = _net([4, 3, 4], ["relu", "identity"])
+    x = Rng(1).normal((5, 4))
+    acts, out = forward(params, x)
+    bufs = [np.empty(block.shape) for block in params.blocks()]
+    with pytest.raises(ShapeError):
+        backward(params, acts, mse_grad(out, x), out=bufs[:-1])
+    with pytest.raises(ShapeError):
+        backward(params, acts, mse_grad(out, x), out=bufs[:-1] + [np.empty(5)])
+
+
 def test_backward_rejects_wrong_activation_count():
     params = _net([3, 2], ["identity"])
     acts, out = forward(params, np.zeros((2, 3)))
@@ -322,6 +353,59 @@ def test_adam_shape_mismatch_leaves_all_blocks_untouched():
     assert a[0] == 1.0 and np.array_equal(b, [2.0, 3.0])
     assert state.t == 0
     assert not state.m[0].any() and not state.v[0].any()
+
+
+def _frozen_adam_step(blocks, grads, state):
+    """Adam's whole-block update as written before it ran in chunks."""
+    cfg = state["config"]
+    state["t"] += 1
+    correct1 = 1.0 - cfg.beta1 ** state["t"]
+    correct2 = 1.0 - cfg.beta2 ** state["t"]
+    for p, g, m, v in zip(blocks, grads, state["m"], state["v"]):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        p -= cfg.lr * (m / correct1) / (np.sqrt(v / correct2) + cfg.epsilon)
+
+
+def _block_shape(size, ndim):
+    if ndim == 1:
+        return (size,)
+    if size == 0:
+        return (0, 3)
+    rows = max(d for d in range(1, int(size**0.5) + 1) if size % d == 0)
+    return (rows, size // rows)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_adam_chunked_step_bit_equal_to_frozen_whole_block_step(ndim):
+    c = neural.ADAM_CHUNK
+    shapes = [_block_shape(size, ndim) for size in (0, 1, c - 1, c, c + 1, 3 * c + 5)]
+    rng = np.random.default_rng(ndim)
+    # In 2-d every other block is Fortran-ordered: its flat slices are a copy.
+    blocks = [rng.normal(size=shape) for shape in shapes]
+    if ndim == 2:
+        blocks[1::2] = [np.asfortranarray(block) for block in blocks[1::2]]
+    frozen_blocks = [block.copy(order="K") for block in blocks]
+    cfg = AdamConfig(lr=0.003)
+    state = adam_init(blocks, cfg)
+    frozen = {
+        "config": cfg, "t": 0,
+        "m": [np.zeros(shape) for shape in shapes], "v": [np.zeros(shape) for shape in shapes],
+    }
+    for step in range(5):
+        # Gradients over many magnitudes, with exact zeros in every other step.
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 7), size=shape) for shape in shapes]
+        if step % 2:
+            for g in grads:
+                g.reshape(-1)[::7] = 0.0
+        adam_step_blocks(blocks, grads, state)
+        _frozen_adam_step(frozen_blocks, grads, frozen)
+        assert state.t == frozen["t"]
+        for got, want in [*zip(blocks, frozen_blocks), *zip(state.m, frozen["m"]),
+                          *zip(state.v, frozen["v"])]:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_minibatches_draw_each_epoch_when_first_taken():
