@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +41,6 @@ class AutoencoderSpec:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         self.optimizer.validate()
 
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder_dims[-1]
-
     def chain(self) -> list[int]:
         enc = list(self.encoder_dims)
         return [self.input_dim] + enc + enc[-2::-1] + [self.input_dim]
@@ -63,8 +57,6 @@ class AutoencoderSpec:
 class PretrainReport:
     losses: list[float]
     final_loss: float
-    wall_time_s: float
-    seed: int
 
     def write_csv(self, path: str) -> None:
         with _csv_writer(path) as writer:
@@ -136,7 +128,6 @@ def pretrain(
         raise ConfigError(
             f"features have {x.shape[1]} columns but the configured input width is {spec.input_dim}"
         )
-    started = time.monotonic()
     state = neural.adam_init(params.blocks(), spec.optimizer, params.block_names())
     grads = [np.empty(block.shape) for block in params.blocks()]
     batches = neural.minibatches(features.n, spec.batch_size, rng)
@@ -157,10 +148,4 @@ def pretrain(
         if epoch + 1 < spec.epochs:
             for kept, block in zip(last_good.blocks(), params.blocks()):
                 np.copyto(kept, block)
-    report = PretrainReport(
-        losses=losses,
-        final_loss=losses[-1],
-        wall_time_s=time.monotonic() - started,
-        seed=rng.seed,
-    )
-    return params, report
+    return params, PretrainReport(losses=losses, final_loss=losses[-1])

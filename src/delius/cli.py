@@ -40,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -207,7 +208,6 @@ def _cluster(args, config, features, encoder, assignments_path, checkpoint_path,
              history_path, embedded_path=None):
     """Refine encoder and centroids jointly; return the assignments and the
     embedded features (None without ``embedded_path``)."""
-    from . import autoencoder
     from .dataio import ClusterAssignments, FeatureMatrix, write_assignments, write_features
     from .dec import dec_fit
     from .neural import Checkpoint, save_checkpoint
@@ -232,9 +232,7 @@ def _cluster(args, config, features, encoder, assignments_path, checkpoint_path,
         result.history.write_csv(target)
     embedded = None
     if embedded_path:
-        embedded = FeatureMatrix(
-            values=autoencoder.encode(result.encoder, features), ids=features.ids
-        )
+        embedded = FeatureMatrix(values=result.state.z, ids=features.ids)
         with _artifact(embedded_path) as target:
             write_features(embedded, target, fmt="binary")
     return assignments, embedded
@@ -465,6 +463,17 @@ def _cmd_run(args) -> str:
 # parser
 
 
+def _fraction(text: str) -> float:
+    """A sample fraction in (0, 1]; anything else, nan included, is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:  # false for nan
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument(
@@ -577,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--learning-rate", type=float, default=200.0)
     p.add_argument("--early-exaggeration", type=float, default=12.0)
-    p.add_argument("--fraction", type=float, default=1.0)
+    p.add_argument("--fraction", type=_fraction, default=1.0)
     p.add_argument("--labels-manifest", default=None)
     p.add_argument("--label-column", choices=("style", "genre"), default="style")
     p.add_argument("--assignments", default=None, help="stratify by cluster label")
@@ -601,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pretraining(p)
     _add_clustering(p)
     _add_training(p)
-    p.add_argument("--fraction", type=float, default=0.1)
+    p.add_argument("--fraction", type=_fraction, default=0.1)
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--tsne-iterations", type=int, default=1000)
     p.add_argument("--outdir", required=True)

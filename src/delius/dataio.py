@@ -115,9 +115,6 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def row_index(self) -> dict[str, int]:
-        return {i: r for r, i in enumerate(self.ids)}
-
 
 @dataclass(frozen=True)
 class FeatureMapBlock:
@@ -408,10 +405,6 @@ class LabelManifest:
         ids = [r[0] for r in self.rows]
         _check_ids(ids, len(ids))
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r[0] for r in self.rows)
-
     def _column(self, column: str) -> dict[str, str]:
         if column == "style":
             pairs = ((r[0], r[1]) for r in self.rows)
@@ -527,12 +520,6 @@ class ClusterAssignments:
     @property
     def n(self) -> int:
         return self.hard.shape[0]
-
-    @property
-    def k(self) -> int:
-        if self.q is not None:
-            return self.q.shape[1]
-        return int(self.hard.max()) + 1
 
 
 def write_assignments(assignments: ClusterAssignments, path: str) -> None:

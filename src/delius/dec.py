@@ -58,8 +58,10 @@ class DecConfig:
 
 @dataclass
 class AssignmentState:
-    """Full-data assignment snapshot from the most recent refresh."""
+    """Full-data assignment snapshot from the most recent refresh, with
+    the embedded points ``z`` it was computed from."""
 
+    z: np.ndarray
     q: np.ndarray
     p: np.ndarray
     hard: np.ndarray
@@ -266,7 +268,9 @@ def dec_fit(
                 changed_fraction=changed,
             )
         )
-        state = AssignmentState(q=q, p=p_new, hard=hard, last_hard=last_hard, iteration=iteration)
+        state = AssignmentState(
+            z=z, q=q, p=p_new, hard=hard, last_hard=last_hard, iteration=iteration
+        )
         # Only a refresh on a window boundary can converge: one forced by
         # the cap mid-window just snapshots the final parameters.
         converged = (changed is not None and changed < config.delta

@@ -29,8 +29,6 @@ class KmeansResult:
     restarts_run: int
     best_restart_index: int
     n_iter: int
-    max_iters: int
-    tol: float
 
 
 def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -100,7 +98,6 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
     dists = sq_distances(points, centroids)
     labels = np.argmin(dists, axis=1).astype(np.int64)
     inertia = float(dists[np.arange(points.shape[0]), labels].sum())
-    history = [inertia]
     n_iter = 0
     for n_iter in range(1, max_iters + 1):
         counts = np.bincount(labels, minlength=k)
@@ -117,12 +114,11 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
         dists = sq_distances(points, centroids)
         new_labels = np.argmin(dists, axis=1).astype(np.int64)
         inertia = float(dists[np.arange(points.shape[0]), new_labels].sum())
-        history.append(inertia)
         done = bool((new_labels == labels).all()) or shift < tol
         labels = new_labels
         if done:
             break
-    return centroids, labels, inertia, n_iter, history
+    return centroids, labels, inertia, n_iter
 
 
 def kmeans_fit(
@@ -149,9 +145,7 @@ def kmeans_fit(
     seeds = [rng.next_u64() for _ in range(restarts)]
     best = None
     for r, seed in enumerate(seeds):
-        centroids, labels, inertia, n_iter, _ = _lloyd(
-            points, k, Rng(seed), max_iters, tol
-        )
+        centroids, labels, inertia, n_iter = _lloyd(points, k, Rng(seed), max_iters, tol)
         if best is None or inertia < best[2]:
             best = (centroids, labels, inertia, n_iter, r)
     centroids, labels, inertia, n_iter, best_index = best
@@ -162,6 +156,4 @@ def kmeans_fit(
         restarts_run=restarts,
         best_restart_index=best_index,
         n_iter=n_iter,
-        max_iters=max_iters,
-        tol=tol,
     )

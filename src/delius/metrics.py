@@ -216,19 +216,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        chi = math.inf if data.get("chi_infinite") else data["chi"]
-        return cls(
-            sc=data["sc"],
-            chi=chi,
-            acc_style=data["acc_style"],
-            acc_genre=data["acc_genre"],
-            k=data["k"],
-            n=data["n"],
-            space_tag=data["space_tag"],
-        )
-
 
 def evaluate(
     points: np.ndarray,

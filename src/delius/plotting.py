@@ -7,7 +7,7 @@ palette is fixed, so the same input always produces the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -35,17 +35,6 @@ _MOMENTUM_LATE = 0.8
 class PcaModel:
     mean: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray
-    total_variance: float
-
-    @property
-    def r(self) -> int:
-        return self.components.shape[0]
-
-    def explained_variance_ratio(self) -> np.ndarray:
-        if self.total_variance == 0.0:
-            return np.zeros_like(self.explained_variance)
-        return self.explained_variance / self.total_variance
 
 
 def pca_fit(points: np.ndarray, r: int) -> PcaModel:
@@ -62,19 +51,13 @@ def pca_fit(points: np.ndarray, r: int) -> PcaModel:
         raise DataError("points contain non-finite values")
     mean = points.mean(axis=0)
     centered = points - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:r].copy()
     for row in components:
         pivot = int(np.argmax(np.abs(row)))
         if row[pivot] < 0.0:
             row *= -1.0
-    variances = singular**2 / (n - 1)
-    return PcaModel(
-        mean=mean,
-        components=components,
-        explained_variance=variances[:r].copy(),
-        total_variance=float(variances.sum()),
-    )
+    return PcaModel(mean=mean, components=components)
 
 
 def pca_transform(model: PcaModel, points: np.ndarray) -> np.ndarray:
@@ -85,13 +68,6 @@ def pca_transform(model: PcaModel, points: np.ndarray) -> np.ndarray:
             f"{model.mean.shape[0]}"
         )
     return (points - model.mean) @ model.components.T
-
-
-def pca_inverse(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    reduced = np.asarray(reduced, dtype=np.float64)
-    if reduced.ndim != 2 or reduced.shape[1] != model.r:
-        raise ShapeError(f"reduced shape {reduced.shape} does not match r = {model.r}")
-    return reduced @ model.components + model.mean
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,7 @@ class Rng:
     """xoshiro256++ generator with the draw helpers used across the package."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
-        sm = self.seed
+        sm = int(seed) & _MASK
         state = []
         for _ in range(4):
             sm, word = splitmix64(sm)
@@ -200,10 +199,6 @@ class Rng:
     def uniform(self) -> float:
         """One float in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * _INV_2_53
-
-    def uniforms(self, n: int) -> np.ndarray:
-        block = self._u64_block(n)
-        return (block >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via the Box-Muller transform."""
@@ -272,7 +267,3 @@ class Rng:
         cumulative = np.cumsum(weights)
         idx = int(np.searchsorted(cumulative, target, side="right"))
         return min(idx, len(weights) - 1)
-
-    def spawn(self) -> "Rng":
-        """Child generator seeded from the next word of this stream."""
-        return Rng(self.next_u64())

@@ -16,7 +16,6 @@ from delius.rng import Rng
 def test_default_chain_mirrors_encoder():
     spec = AutoencoderSpec()
     assert spec.chain() == [1024, 500, 500, 2000, 10, 2000, 500, 500, 1024]
-    assert spec.latent_dim == 10
 
 
 def test_tiny_chain():
@@ -105,7 +104,6 @@ def test_pretrain_reduces_loss_and_reports_curve():
     assert len(report.losses) == 40
     assert report.final_loss == report.losses[-1]
     assert report.final_loss < report.losses[0]
-    assert report.wall_time_s >= 0.0
 
 
 def test_pretrain_bitwise_deterministic():

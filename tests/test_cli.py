@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import delius
+from delius import autoencoder
 from delius.cli import _THREAD_ENV_VARS, build_parser, main
 from delius.dataio import (
     FeatureMapBlock,
     FeatureMatrix,
     global_average_pool,
     read_assignments,
-    read_feature_maps,
     read_features,
     write_feature_maps,
     write_features,
@@ -473,6 +473,39 @@ def test_cluster_palindromic_encoder_keeps_chain(workspace, tmp_path):
         assert embedded.values.shape == (K * N_PER, DIM)
 
 
+def test_cluster_embeds_once(workspace, tmp_path, monkeypatch):
+    # --out-embedded takes the joint optimiser's final embedding; a
+    # second full-data encode would fail here.
+    encode = autoencoder.encode
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("cluster encoded the features a second time")
+
+    monkeypatch.setattr(autoencoder, "encode", second_pass)
+    model, embedded = str(tmp_path / "m.delc"), str(tmp_path / "e.delf")
+    assert main(
+        ["cluster", "--features", workspace["features"], "--ae-checkpoint", workspace["ae"],
+         "--out-assignments", str(tmp_path / "a.csv"), "--out-checkpoint", model,
+         "--out-embedded", embedded] + CLUSTER_FLAGS
+    ) == 0
+    expected = encode(load_checkpoint(model).params, workspace["fm"])
+    assert read_features(embedded).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "2", "nan", "inf", "half"])
+def test_out_of_range_fraction_exit_2_before_load(workspace, tmp_path, capsys, fraction):
+    xy, outdir = tmp_path / "xy.csv", tmp_path / "out"
+    for argv in (
+        ["project", "--features", workspace["embedded"], "--method", "pca", "--out", str(xy)],
+        ["run", "--features", workspace["features"], "--k", str(K), "--outdir", str(outdir),
+         "--encoder-dims", ENCODER, "--epochs", "1", "--max-iterations", "20"],
+    ):
+        assert main(argv + ["--fraction", fraction]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --fraction: must be a number in (0, 1], got {fraction!r}" in err
+    assert not xy.exists() and not outdir.exists()
+
+
 def test_run_rejects_bad_k_before_work(tmp_path, workspace, capsys):
     outdir = tmp_path / "out"
     code = main(
@@ -670,6 +703,54 @@ def test_package_names_resolve_on_first_use():
     assert delius.metrics is importlib.import_module("delius.metrics")
     with pytest.raises(AttributeError):
         delius.no_such_name
+
+
+# The names ``import delius`` exports: the README's library example, the
+# reader, writer and container of each documented format, the errors, and
+# the stage entry points the command line calls, with their configs.
+PACKAGE_SURFACE = {
+    "AdamConfig", "AutoencoderSpec", "Checkpoint", "ClusterAssignments", "ConfigError",
+    "DataError", "DecConfig", "DegenerateCentroidsError", "DeliusError", "FeatureMapBlock",
+    "FeatureMatrix", "FormatError", "LabelManifest", "NumericError", "Rng", "ScatterSpec",
+    "ShapeError", "TsneConfig", "build", "dec_fit", "encode", "encoder_part", "evaluate",
+    "global_average_pool", "load_checkpoint", "pca_fit", "pca_transform", "pretrain",
+    "read_assignments", "read_feature_maps", "read_features", "read_label_manifest",
+    "read_xy", "render_scatter", "run_ae_kmeans", "run_pca_kmeans", "save_checkpoint",
+    "silhouette", "stratified_sample", "tsne_embed", "write_assignments",
+    "write_feature_maps", "write_features", "write_label_manifest", "write_xy",
+}
+
+# Names deleted because nothing but their own tests called them.
+DELETED = {
+    "neural": ("numeric_gradient",),
+    "projection": ("pca_inverse",),
+    "projection.PcaModel": ("r", "explained_variance", "total_variance",
+                            "explained_variance_ratio"),
+    "rng.Rng": ("spawn", "uniforms"),
+    "dataio.FeatureMatrix": ("row_index",),
+    "dataio.LabelManifest": ("ids",),
+    "dataio.ClusterAssignments": ("k",),
+    "metrics.EvalReport": ("from_dict",),
+    "autoencoder.AutoencoderSpec": ("latent_dim",),
+    "autoencoder.PretrainReport": ("wall_time_s", "seed"),
+    "kmeans.KmeansResult": ("max_iters", "tol"),
+}
+
+
+def test_package_surface():
+    assert set(delius.__all__) == PACKAGE_SURFACE
+    for owner, names in DELETED.items():
+        module, _, cls = owner.partition(".")
+        target = importlib.import_module(f"delius.{module}")
+        if cls:
+            target = getattr(target, cls)
+            assert not set(names) & set(getattr(target, "__dataclass_fields__", ())), owner
+        for name in names:
+            assert not hasattr(target, name), f"{owner}.{name}"
+    from oracles import numeric_gradient  # the finite-difference oracle lives with the tests
+
+    grad = numeric_gradient(lambda v: float(v @ v), np.array([1.0, -2.0]))
+    assert np.allclose(grad, [2.0, -4.0], atol=1e-8)
 
 
 def test_package_import_loads_no_numeric_library():

@@ -23,8 +23,10 @@ from delius.errors import (
     NumericError,
     ShapeError,
 )
-from delius.neural import AdamConfig, numeric_gradient
+from delius.neural import AdamConfig
 from delius.rng import Rng
+
+from oracles import numeric_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,17 @@ def test_dec_fit_converges_on_blobs():
     from delius.metrics import clustering_accuracy
 
     assert clustering_accuracy(truth, result.state.hard) == 1.0
+
+
+def test_dec_fit_state_carries_final_embedding():
+    # The last refresh's embedding is the full encode of the refined
+    # encoder, bit for bit, so callers need not encode every row again.
+    # The cap stops mid-window, so the last refresh follows a short window.
+    fm, _ = _blob_setup(seed=3)
+    enc = _pretrained_encoder(fm, seed=4)
+    cfg = DecConfig(k=3, update_interval=50, batch_size=32, max_iterations=120)
+    result = dec_fit(fm, enc, cfg, Rng(77))
+    assert result.state.z.tobytes() == autoencoder.encode(result.encoder, fm).tobytes()
 
 
 def test_dec_fit_initial_labels_match_kmeans_protocol():

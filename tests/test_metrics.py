@@ -377,7 +377,6 @@ def test_report_json_schema_and_infinity():
     assert data["chi_infinite"] is True
     assert data["acc_style"] is None
     assert data["acc_genre"] == 0.75
-    assert EvalReport.from_dict(data) == report
 
 
 def test_report_json_deterministic():
@@ -387,5 +386,7 @@ def test_report_json_deterministic():
     )
     assert report.to_json() == report.to_json()
     assert report.to_json().endswith("\n")
-    restored = EvalReport.from_dict(json.loads(report.to_json()))
-    assert restored == report
+    assert json.loads(report.to_json()) == {
+        "sc": 0.25, "chi": 12.5, "chi_infinite": False, "acc_style": 0.5,
+        "acc_genre": None, "k": 2, "n": 10, "space_tag": "embedded",
+    }

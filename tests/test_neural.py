@@ -24,10 +24,11 @@ from delius.neural import (
     load_checkpoint,
     mse_grad,
     mse_loss,
-    numeric_gradient,
     save_checkpoint,
 )
 from delius.rng import Rng
+
+from oracles import numeric_gradient
 
 
 def _net(dims, activations, seed=0):

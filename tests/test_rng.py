@@ -63,13 +63,12 @@ def test_block_matches_single_draws():
 
 
 def test_uniform_range_and_determinism():
-    r = Rng(5)
-    values = r.uniforms(10000)
+    r, again = Rng(5), Rng(5)
+    values = np.array([r.uniform() for _ in range(10000)])
     assert values.min() >= 0.0
     assert values.max() < 1.0
     assert abs(values.mean() - 0.5) < 0.02
-    again = Rng(5).uniforms(10000)
-    assert np.array_equal(values, again)
+    assert values.tolist() == [again.uniform() for _ in range(10000)]
 
 
 def test_normal_moments():
@@ -126,13 +125,6 @@ def test_weighted_index_rejects_zero_total():
         Rng(0).weighted_index(np.zeros(3))
 
 
-def test_spawn_deterministic():
-    a = Rng(55).spawn()
-    b = Rng(55).spawn()
-    assert a.seed == b.seed
-    assert a.next_u64() == b.next_u64()
-
-
 # Known answers of the word-by-word generator, frozen from it before large
 # blocks were drawn by lanes: SHA-256 of each draw's bytes and the next
 # raw word after it.  The normal draws also depend on numpy's log, sqrt,
@@ -155,13 +147,6 @@ def test_normal_known_answer():
     draws = r.normal((2000, 500), std=0.01)
     assert _sha256(draws) == "95b6b7bb16f67195451f3d63ef36614c7936d9ff2823861f0265a50a5ba03b03"
     assert r.next_u64() == 0xE39D641A32BC6A0B
-
-
-def test_uniforms_known_answer():
-    r = Rng(2021)
-    values = r.uniforms(100003)
-    assert _sha256(values) == "a7783e7fe7f3fde3be5a3f29606d1b14e59df6a4a0986201545704162db217e4"
-    assert r.next_u64() == 0x5C6361BDDA711419
 
 
 def test_permutation_known_answer():
