@@ -28,14 +28,17 @@ EMBEDDED_SPACE_TAG = "embedded"
 
 @dataclass
 class BaselineRun:
-    strategy: str
-    k: int
-    seed: int
-    reduced_dim: int
     labels: np.ndarray
     ids: tuple[str, ...]
     report: EvalReport
-    points: np.ndarray
+
+
+def _cluster_and_score(features, points, k, seed, manifest, restarts, space_tag) -> BaselineRun:
+    """k-means on ``points`` (one row per feature row), scored against any truth."""
+    km = kmeans_fit(points, k, Rng(seed), restarts=restarts)
+    style, genre = truth_labels(manifest, features)
+    report = evaluate(points, km.labels, space_tag, style_truth=style, genre_truth=genre)
+    return BaselineRun(labels=km.labels, ids=features.ids, report=report)
 
 
 def run_pca_kmeans(
@@ -47,23 +50,8 @@ def run_pca_kmeans(
     restarts: int = DEFAULT_RESTARTS,
 ) -> BaselineRun:
     """k-means on the first r principal components of the features."""
-    model = pca_fit(features.values, r)
-    reduced = pca_transform(model, features.values)
-    km = kmeans_fit(reduced, k, Rng(seed), restarts=restarts)
-    style, genre = truth_labels(manifest, features)
-    report = evaluate(
-        reduced, km.labels, f"pca{r}", style_truth=style, genre_truth=genre
-    )
-    return BaselineRun(
-        strategy="pca_kmeans",
-        k=k,
-        seed=seed,
-        reduced_dim=r,
-        labels=km.labels,
-        ids=features.ids,
-        report=report,
-        points=reduced,
-    )
+    reduced = pca_transform(pca_fit(features.values, r), features.values)
+    return _cluster_and_score(features, reduced, k, seed, manifest, restarts, f"pca{r}")
 
 
 def run_ae_kmeans(
@@ -80,18 +68,6 @@ def run_ae_kmeans(
     coincide with the joint optimiser's starting labels.
     """
     embedded = autoencoder.encode(encoder, features)
-    km = kmeans_fit(embedded, k, Rng(seed), restarts=restarts)
-    style, genre = truth_labels(manifest, features)
-    report = evaluate(
-        embedded, km.labels, EMBEDDED_SPACE_TAG, style_truth=style, genre_truth=genre
-    )
-    return BaselineRun(
-        strategy="ae_kmeans",
-        k=k,
-        seed=seed,
-        reduced_dim=embedded.shape[1],
-        labels=km.labels,
-        ids=features.ids,
-        report=report,
-        points=embedded,
+    return _cluster_and_score(
+        features, embedded, k, seed, manifest, restarts, EMBEDDED_SPACE_TAG
     )

@@ -130,9 +130,12 @@ def _parse_dims(text: str):
 
 
 def _adam_config(args):
+    """The Adam settings, checked before any input is read."""
     from .neural import AdamConfig
 
-    return AdamConfig(lr=args.lr, beta1=args.beta1, beta2=args.beta2, epsilon=args.epsilon)
+    config = AdamConfig(lr=args.lr, beta1=args.beta1, beta2=args.beta2, epsilon=args.epsilon)
+    config.validate()
+    return config
 
 
 def _dec_config(args):
@@ -180,7 +183,7 @@ def _encoder_of(ckpt):
 # stages: in-memory inputs, artifacts written, what the next stage needs returned
 
 
-def _pretrain(args, features, checkpoint_path: str, loss_path: str):
+def _pretrain(args, features, optimizer, checkpoint_path: str, loss_path: str):
     """Train the mirrored autoencoder; return the checkpoint written."""
     from . import autoencoder
     from .neural import Checkpoint, save_checkpoint
@@ -191,7 +194,7 @@ def _pretrain(args, features, checkpoint_path: str, loss_path: str):
         encoder_dims=_parse_dims(args.encoder_dims),
         batch_size=args.batch_size,
         epochs=args.epochs,
-        optimizer=_adam_config(args),
+        optimizer=optimizer,
     )
     rng = Rng(args.seed)
     params = autoencoder.build(spec, rng)
@@ -296,11 +299,12 @@ def _cmd_gap(args) -> str:
 
 
 def _cmd_pretrain(args) -> str:
+    optimizer = _adam_config(args)
     with _stage("load"):
         features = _read_features(args, args.features)
     with _stage("pretrain"):
         loss_path = args.out_loss_curve or args.out_checkpoint + ".loss.csv"
-        _pretrain(args, features, args.out_checkpoint, loss_path)
+        _pretrain(args, features, optimizer, args.out_checkpoint, loss_path)
     return args.out_checkpoint + ".manifest.json"
 
 
@@ -400,32 +404,35 @@ def _cmd_project(args) -> str:
         raise ConfigError("--labels-manifest and --assignments both choose the strata; give one")
     if given and not args.fraction < 1.0:
         raise ConfigError(f"{given[0]} stratifies a sample and needs --fraction below 1")
+    tsne = None
+    if args.method == "tsne":
+        tsne = TsneConfig(
+            perplexity=args.perplexity,
+            iterations=args.iterations,
+            learning_rate=args.learning_rate,
+            early_exaggeration=args.early_exaggeration,
+            seed=args.seed,
+        )
+        tsne.validate()
     with _stage("load"):
         features = _read_features(args, args.features)
         strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
     with _stage("project"):
-        tsne = None
-        if args.method == "tsne":
-            tsne = TsneConfig(
-                perplexity=args.perplexity,
-                iterations=args.iterations,
-                learning_rate=args.learning_rate,
-                early_exaggeration=args.early_exaggeration,
-                seed=args.seed,
-            )
         _project(features, strata, args.fraction, args.seed, args.out, tsne, pca_dim=args.r)
     return args.out + ".manifest.json"
 
 
 def _cmd_plot(args) -> str:
     from .dataio import read_assignments, read_xy
+    from .plotting import check_layout
 
+    layout = dict(width=args.width, height=args.height, radius=args.radius)
+    check_layout(**layout)
     with _stage("load"):
         ids, coords = read_xy(args.xy)
         assignments = read_assignments(args.assignments)
     with _stage("plot"):
-        _plot(ids, coords, assignments, args.out,
-              width=args.width, height=args.height, radius=args.radius)
+        _plot(ids, coords, assignments, args.out, **layout)
     return args.out + ".manifest.json"
 
 
@@ -435,12 +442,15 @@ def _cmd_run(args) -> str:
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
     config = _dec_config(args)  # fail on bad knobs before any heavy work
+    tsne = TsneConfig(perplexity=args.perplexity, iterations=args.tsne_iterations, seed=args.seed)
+    tsne.validate()
 
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
     with _stage("pretrain"):
-        ckpt = _pretrain(args, features, out("autoencoder.delc"), out("pretrain_loss.csv"))
+        ckpt = _pretrain(args, features, config.optimizer, out("autoencoder.delc"),
+                         out("pretrain_loss.csv"))
     with _stage("cluster"):
         assignments, embedded = _cluster(
             args, config, features, _encoder_of(ckpt), out("assignments.csv"),
@@ -449,9 +459,6 @@ def _cmd_run(args) -> str:
     with _stage("eval"):
         _evaluate(embedded, assignments, manifest, "both", "embedded", out("report.json"))
     with _stage("project"):
-        tsne = TsneConfig(
-            perplexity=args.perplexity, iterations=args.tsne_iterations, seed=args.seed
-        )
         strata = _cluster_strata(embedded.ids, assignments)
         ids, coords = _project(embedded, strata, args.fraction, args.seed, out("xy.csv"), tsne)
     with _stage("plot"):

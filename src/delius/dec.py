@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural
+from . import autoencoder, neural
 from .dataio import FeatureMatrix, _csv_writer
+from .distance import sq_distances
 from .errors import ConfigError, DegenerateCentroidsError, NumericError, ShapeError
-from .kmeans import kmeans_fit, sq_distances
+from .kmeans import kmeans_fit
 from .neural import AdamConfig, MlpParams
 from .rng import Rng
 
@@ -103,20 +104,13 @@ class DecResult:
     history: DecHistory
 
 
-def _centroid_sq_distances(mu: np.ndarray) -> np.ndarray:
-    """``sq_distances(mu, mu)``, the same sums bit for bit, as one k x k x m
-    broadcast instead of a loop over the k centroids."""
-    diff = mu[:, None, :] - mu[None, :, :]
-    return np.einsum("ijm,ijm->ij", diff, diff)
-
-
 def _check_centroids(mu: np.ndarray) -> np.ndarray:
     mu = np.ascontiguousarray(mu, dtype=np.float64)
     if mu.ndim != 2:
         raise ShapeError(f"centroids must be 2-d, got shape {mu.shape}")
     if not np.isfinite(mu).all():
         raise NumericError("centroids contain non-finite values")
-    sq = _centroid_sq_distances(mu)
+    sq = sq_distances(mu, mu)
     np.fill_diagonal(sq, np.inf)
     if sq.min() < _CENTROID_SEPARATION_SQ:
         a, b = np.unravel_index(int(np.argmin(sq)), sq.shape)
@@ -240,7 +234,7 @@ def dec_fit(
     if config.k > features.n:
         raise ConfigError(f"k = {config.k} exceeds the number of rows n = {features.n}")
 
-    _, z = neural.forward(encoder_params, x)
+    z = autoencoder.encode(encoder_params, x)
     km = kmeans_fit(z, config.k, rng, restarts=config.kmeans_restarts)
     mu = km.centroids.copy()
 
@@ -282,7 +276,7 @@ def dec_fit(
             idx = next(batches)
             _joint_step(encoder_params, blocks, x[idx], p_full[idx], grads, opt)
             iteration += 1
-        z = neural.forward(encoder_params, x)[1]
+        z = autoencoder.encode(encoder_params, x)
 
     history = DecHistory(
         records=records,

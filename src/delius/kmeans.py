@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import sq_distances
 from .errors import ConfigError, DataError
 from .rng import Rng
 
@@ -29,35 +30,6 @@ class KmeansResult:
     restarts_run: int
     best_restart_index: int
     n_iter: int
-
-
-def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from each point to each centre, as a C-ordered n x k array.
-
-    Direct differences keep exact ties exact, which the lowest-index tie
-    rule in assign() relies on.  One centre at a time: an n x m
-    difference instead of an n x k x m one, with the same sums.  The
-    result is C-ordered because row sums over it follow its layout.
-    """
-    out = np.empty((centers.shape[0], points.shape[0]))
-    diff = np.empty_like(points)
-    for j, center in enumerate(centers):
-        np.subtract(points, center, out=diff)
-        np.einsum("nm,nm->n", diff, diff, out=out[j])
-    return np.ascontiguousarray(out.T)
-
-
-def assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid labels; ties go to the lowest centroid index."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-    if points.ndim != 2 or centroids.ndim != 2:
-        raise DataError("points and centroids must be 2-d")
-    if points.shape[1] != centroids.shape[1]:
-        raise DataError(
-            f"points have {points.shape[1]} dims, centroids {centroids.shape[1]}"
-        )
-    return np.argmin(sq_distances(points, centroids), axis=1).astype(np.int64)
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import BLOCK_ROWS, sq_distance_matrix
 from .errors import ConfigError, DataError, ShapeError
-
-_BLOCK_ROWS = 1024  # rows per block of the n x n passes: their scratch is _BLOCK_ROWS x n
 
 
 def _check_points_labels(points: np.ndarray, labels: np.ndarray):
@@ -35,32 +34,6 @@ def _check_points_labels(points: np.ndarray, labels: np.ndarray):
     if not np.isfinite(points).all():
         raise DataError("points contain non-finite values")
     return points, labels.astype(np.int64)
-
-
-def sq_distance_matrix(
-    points: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal.
-
-    One n x n array is allocated, or ``out`` is filled: the Gram matrix,
-    doubled in place, then ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` written
-    back over it one block of rows at a time, the same float operations
-    in the same order as the whole-matrix broadcast.  ``scratch``, if
-    given, holds the blocks; it needs min(1024, n) rows of n.
-    """
-    n = points.shape[0]
-    sq = np.einsum("nd,nd->n", points, points)
-    out = np.matmul(points, points.T, out=out)
-    out *= 2.0
-    pair = np.empty((min(_BLOCK_ROWS, n), n)) if scratch is None else scratch
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = out[start : start + _BLOCK_ROWS]
-        block = pair[: rows.shape[0]]
-        np.add(sq[start : start + _BLOCK_ROWS, None], sq[None, :], out=block)
-        np.subtract(block, rows, out=rows)
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
@@ -78,10 +51,10 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
         raise ConfigError(f"silhouette needs 2 <= clusters <= n - 1, got k={k}, n={n}")
     dist = sq_distance_matrix(points)
     np.sqrt(dist, out=dist)
-    bins = own + k * np.arange(min(_BLOCK_ROWS, n))[:, None]
+    bins = own + k * np.arange(min(BLOCK_ROWS, n))[:, None]
     sums = np.empty((n, k))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = dist[start : start + _BLOCK_ROWS]
+    for start in range(0, n, BLOCK_ROWS):
+        rows = dist[start : start + BLOCK_ROWS]
         m = rows.shape[0]
         sums[start : start + m] = np.bincount(
             bins[:m].ravel(), weights=rows.ravel(), minlength=m * k

@@ -219,12 +219,12 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def validate(self) -> None:
-        if not self.lr >= 0.0:
-            raise ConfigError(f"learning rate must be non-negative, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and non-negative, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ConfigError("Adam betas must lie in [0, 1)")
-        if not self.epsilon > 0.0:
-            raise ConfigError("Adam epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"Adam epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ palette is fixed, so the same input always produces the same bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ class ScatterSpec:
     width: int = 800
     height: int = 600
     radius: float = 3.0
+
+
+def check_layout(width, height, radius, palette=DEFAULT_PALETTE) -> None:
+    """Reject a canvas, marker or palette a scatter cannot be drawn with."""
+    if not palette:
+        raise ConfigError("palette must hold at least one color")
+    if width < 1 or height < 1:
+        raise ConfigError("plot dimensions must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(f"marker radius must be finite and positive, got {radius}")
 
 
 def _scale(values: np.ndarray, out_span: float, flip: bool):
@@ -66,12 +77,7 @@ def render_scatter(spec: ScatterSpec) -> str:
         raise DataError(f"point {row} has a non-finite coordinate")
     if labels.min() < 0:
         raise DataError("cluster labels must be non-negative")
-    if not spec.palette:
-        raise ConfigError("palette must hold at least one color")
-    if spec.width < 1 or spec.height < 1:
-        raise ConfigError("plot dimensions must be positive")
-    if not spec.radius > 0.0:
-        raise ConfigError("marker radius must be positive")
+    check_layout(spec.width, spec.height, spec.radius, spec.palette)
 
     to_x = _scale(points[:, 0], float(spec.width), flip=False)
     to_y = _scale(points[:, 1], float(spec.height), flip=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
-from .metrics import sq_distance_matrix
+from .distance import sq_distance_matrix
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .rng import Rng
 
 _ENTROPY_TOL = 1e-5
@@ -82,21 +82,27 @@ class TsneConfig:
     early_exaggeration: float = 12.0
     seed: int = 0
 
-    def validate(self, n: int) -> None:
-        if n < 5:
-            raise ConfigError(f"t-SNE needs at least 5 rows, got {n}")
-        if not 1.0 < self.perplexity < (n - 1) / 3.0:
-            raise ConfigError(
-                f"perplexity must lie in (1, {(n - 1) / 3.0:g}) for n = {n}, "
-                f"got {self.perplexity}"
-            )
+    def validate(self, n: int | None = None) -> None:
+        """Check the settings; given the row count, check the perplexity against it."""
+        if n is not None:
+            if n < 5:
+                raise ConfigError(f"t-SNE needs at least 5 rows, got {n}")
+            if not 1.0 < self.perplexity < (n - 1) / 3.0:
+                raise ConfigError(
+                    f"perplexity must lie in (1, {(n - 1) / 3.0:g}) for n = {n}, "
+                    f"got {self.perplexity}"
+                )
+        if not 1.0 < self.perplexity < math.inf:
+            raise ConfigError(f"perplexity must be finite and above 1, got {self.perplexity}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if not self.early_exaggeration >= 1.0:
+        if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(
-                f"early exaggeration must be at least 1, got {self.early_exaggeration}"
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
+        if not 1.0 <= self.early_exaggeration < math.inf:
+            raise ConfigError(
+                f"early exaggeration must be finite and at least 1, got {self.early_exaggeration}"
             )
 
 
@@ -200,4 +206,6 @@ def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
         velocity = momentum * velocity - config.learning_rate * grad
         y = y + velocity
         y = y - y.mean(axis=0)
+    if not np.isfinite(y).all():
+        raise NumericError("t-SNE layout diverged to non-finite coordinates")
     return y

@@ -474,20 +474,24 @@ def test_cluster_palindromic_encoder_keeps_chain(workspace, tmp_path):
 
 
 def test_cluster_embeds_once(workspace, tmp_path, monkeypatch):
-    # --out-embedded takes the joint optimiser's final embedding; a
-    # second full-data encode would fail here.
+    # --out-embedded takes the joint optimiser's final embedding: the only
+    # full-data encodes are the joint optimiser's own, one per refresh.
     encode = autoencoder.encode
+    calls = []
 
-    def second_pass(*args, **kwargs):
-        raise AssertionError("cluster encoded the features a second time")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
 
-    monkeypatch.setattr(autoencoder, "encode", second_pass)
+    monkeypatch.setattr(autoencoder, "encode", counted)
     model, embedded = str(tmp_path / "m.delc"), str(tmp_path / "e.delf")
+    history = tmp_path / "h.csv"
     assert main(
         ["cluster", "--features", workspace["features"], "--ae-checkpoint", workspace["ae"],
          "--out-assignments", str(tmp_path / "a.csv"), "--out-checkpoint", model,
-         "--out-embedded", embedded] + CLUSTER_FLAGS
+         "--out-history", str(history), "--out-embedded", embedded] + CLUSTER_FLAGS
     ) == 0
+    assert len(calls) == len(history.read_text().splitlines()) - 1  # a header, then refreshes
     expected = encode(load_checkpoint(model).params, workspace["fm"])
     assert read_features(embedded).values.tobytes() == expected.tobytes()
 
@@ -661,6 +665,38 @@ def test_numeric_blowup_exit_4(tmp_path, capsys):
     )
     assert code == 4
     assert "pretrain stage failed" in capsys.readouterr().err
+
+
+# A value that no run can use exits 2 before any input is read: the
+# features and xy file given are unreadable and would exit 3.  A finite
+# value that makes t-SNE diverge exits 4 with no layout written.
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("command, flags, code, message", [
+    ("project", ["--learning-rate", "inf"], 2, "learning rate must be finite"),
+    ("project", ["--learning-rate", "1e300"], 4, "t-SNE layout diverged"),
+    ("project", ["--early-exaggeration", "inf"], 2, "early exaggeration must be finite"),
+    ("project", ["--perplexity", "inf"], 2, "perplexity must be finite"),
+    ("plot", ["--radius", "inf"], 2, "marker radius must be finite"),
+    ("pretrain", ["--epsilon", "inf"], 2, "Adam epsilon must be finite"),
+    ("pretrain", ["--lr", "inf"], 2, "learning rate must be finite"),
+])
+def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code, message):
+    bad = tmp_path / "bad.delf"
+    bad.write_bytes(b"XXXX" + bytes(20))
+    bad_xy = tmp_path / "bad.csv"
+    bad_xy.write_text("not an xy file\n")
+    features = workspace["embedded"] if code == 4 else str(bad)
+    out = tmp_path / "out"
+    argv = {
+        "project": ["project", "--features", features, "--method", "tsne",
+                    "--perplexity", "4", "--iterations", "30", "--out", str(out)],
+        "plot": ["plot", "--xy", str(bad_xy), "--assignments", workspace["assignments"],
+                 "--out", str(out)],
+        "pretrain": ["pretrain", "--features", features, "--out-checkpoint", str(out)],
+    }[command]
+    assert main(argv + flags) == code
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.delf"]
 
 
 def test_unknown_flag_exit_2(capsys):

@@ -10,7 +10,6 @@ from delius.autoencoder import AutoencoderSpec
 from delius.dataio import FeatureMatrix
 from delius.dec import (
     DecConfig,
-    _centroid_sq_distances,
     dec_fit,
     kl_grads,
     kl_loss,
@@ -68,14 +67,6 @@ def test_soft_assign_rejects_coincident_centroids():
     mu = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DegenerateCentroidsError, match="0 and 1"):
         soft_assign(np.zeros((2, 2)), mu)
-
-
-def test_centroid_check_distances_bit_equal_to_sq_distances():
-    rng = np.random.default_rng(14)
-    for _ in range(250):
-        k, m = rng.integers(1, 38), rng.integers(1, 71)
-        mu = rng.normal(scale=10.0 ** rng.integers(-4, 5), size=(k, m))
-        assert _centroid_sq_distances(mu).tobytes() == kmeans.sq_distances(mu, mu).tobytes()
 
 
 def test_soft_assign_shape_mismatch():

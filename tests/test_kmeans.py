@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delius import kmeans
+from delius import distance, kmeans
 from delius.errors import ConfigError, DataError
-from delius.kmeans import assign, kmeans_fit
+from delius.kmeans import kmeans_fit
 from delius.rng import Rng
 
 
@@ -61,23 +61,6 @@ def test_matches_exhaustive_partition_search():
         best = min(best, _inertia(points, labels, 3))
     result = kmeans_fit(points, 3, Rng(5), restarts=40)
     assert result.inertia == pytest.approx(best, rel=1e-9)
-
-
-def test_assign_tie_goes_to_lowest_index():
-    centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    labels = assign(np.array([[0.0, 0.0], [0.0, 5.0]]), centroids)
-    assert labels.tolist() == [0, 0]
-
-
-def test_assign_nearest():
-    centroids = np.array([[0.0], [10.0]])
-    labels = assign(np.array([[1.0], [9.0], [4.9]]), centroids)
-    assert labels.tolist() == [0, 1, 0]
-
-
-def test_assign_dimension_mismatch():
-    with pytest.raises(DataError):
-        assign(np.zeros((3, 2)), np.zeros((2, 3)))
 
 
 def test_translation_invariance():
@@ -152,7 +135,9 @@ def test_labels_in_range_and_inertia_consistent(seed, k):
     assert result.labels.max() < k
     assert result.inertia == pytest.approx(_inertia(points, result.labels, k), rel=1e-9)
     # labels are the nearest-centroid assignment of the final centroids
-    assert np.array_equal(result.labels, assign(points, result.centroids))
+    assert np.array_equal(
+        result.labels, np.argmin(distance.sq_distances(points, result.centroids), axis=1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +202,7 @@ def test_sq_distances_bit_equal_to_frozen_kernel(m):
     for centers in (rng.normal((1, m)), rng.normal((13, m)), points[[3, 7, 0]]):
         for layout in (points, np.asfortranarray(points)):  # the sums follow the layout
             expected = _frozen_sq_distances(layout, centers)
-            got = kmeans.sq_distances(layout, centers)
+            got = distance.sq_distances(layout, centers)
             assert np.array_equal(got, expected)
             assert got.flags.c_contiguous  # row sums over it follow the layout
 
@@ -277,7 +262,3 @@ def test_fit_independent_of_memory_layout():
     assert f_order.inertia.hex() == c_order.inertia.hex()
     assert np.array_equal(f_order.labels, c_order.labels)
     assert np.array_equal(f_order.centroids, c_order.centroids)
-    assert np.array_equal(
-        assign(np.asfortranarray(x), np.asfortranarray(c_order.centroids)),
-        assign(x, c_order.centroids),
-    )

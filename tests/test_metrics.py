@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delius.distance import sq_distance_matrix
 from delius.errors import ConfigError, DataError, ShapeError
 from delius.metrics import (
     EvalReport,
@@ -17,7 +18,6 @@ from delius.metrics import (
     clustering_accuracy,
     evaluate,
     silhouette,
-    sq_distance_matrix,
 )
 from delius.rng import Rng
 
