@@ -1,7 +1,8 @@
 """Squared Euclidean distances: the one kernel every clustering step shares.
 
-Two forms, each documenting the contract its callers rely on.  This
-module imports nothing else from the package, so any module may use it.
+Two forms, each documenting the contract its callers rely on, and the
+Lloyd assignment that screens for the first.  This module imports
+nothing else from the package, so any module may use it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,64 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         np.subtract(points, center, out=diff)
         np.einsum("nm,nm->n", diff, diff, out=out[j])
     return np.ascontiguousarray(out.T)
+
+
+# Rounding error of a length-m dot product or squared distance is at most
+# gamma_m = m u / (1 - m u) of its magnitude (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., section 3.1); subnormal products add at
+# most half a subnormal unit each.  A row with a larger radius could overflow.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SCREEN_RADIUS_LIMIT = 2.0**500
+
+
+def nearest_centres(
+    points: np.ndarray, centres: np.ndarray, point_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centre and its squared distance to it, bit-equal to
+    ``argmin(sq_distances(points, centres), axis=1)`` and the entries it picks.
+
+    ``point_sq`` holds each point's squared norm.  ``_screen`` settles the
+    rows whose nearest centre no rounding error could change; every other
+    row (near ties, non-finite or overflowing values) is recomputed by
+    ``sq_distances``, so exact ties still go to the lowest index.  The
+    returned distances are the direct differences ``sq_distances`` would
+    give.
+    """
+    # The screen's k x n buffer is freed before the n x m difference is
+    # made: with both alive, glibc trims and re-faults them on every call.
+    labels, unsettled = _screen(points, centres, point_sq)
+    rows = np.flatnonzero(unsettled)
+    if rows.size:
+        labels[rows] = np.argmin(sq_distances(points[rows], centres), axis=1)
+    diff = np.take(centres, labels, axis=0)
+    np.subtract(points, diff, out=diff)
+    return labels, np.einsum("nm,nm->n", diff, diff)
+
+
+def _screen(points, centres, point_sq):
+    """Labels from one k x n GEMM of ``|c|^2 - 2 c.x``, and the rows it cannot settle.
+
+    That form orders the centres as the distances do.  A row is settled
+    when exactly one centre lies within an error bound of its minimum:
+    the bound covers the rounding of both the screen and the direct
+    differences for both candidates, with a factor of 2 to spare for the
+    rounding of the bound itself, so that centre is the strict argmin of
+    the exact kernel too.  The reductions run across the k contiguous
+    rows, elementwise in n.
+    """
+    m = points.shape[1]
+    gamma = (m + 3) * _UNIT_ROUNDOFF / (1.0 - (m + 3) * _UNIT_ROUNDOFF)
+    tiny = (m + 2) * np.finfo(np.float64).smallest_subnormal
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are not settled
+        centre_sq = np.einsum("km,km->k", centres, centres)
+        screen = np.matmul(-2.0 * centres, points.T)  # scaling by -2 is exact
+        screen += centre_sq[:, None]
+        best = np.min(screen, axis=0)
+        radius = np.sqrt(point_sq) + np.sqrt(centre_sq.max())
+        threshold = best + (8.0 * gamma * radius * radius + 8.0 * tiny)
+        np.less_equal(screen, threshold, out=screen)  # 1.0 where a centre is within the bound
+    count, index = np.stack([np.ones(len(centres)), np.arange(len(centres))]) @ screen
+    return index.astype(np.int64), (count != 1.0) | ~(radius < _SCREEN_RADIUS_LIMIT)
 
 
 def sq_distance_matrix(

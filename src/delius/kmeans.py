@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import sq_distances
+from .distance import nearest_centres, sq_distances
 from .errors import ConfigError, DataError
 from .rng import Rng
 
@@ -48,10 +48,13 @@ def _plusplus_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     return points[np.array(chosen)].copy()
 
 
-def _repair_empty(points, centroids, labels, dists):
-    k = centroids.shape[0]
+def _repair_empty(labels, own, k):
+    """Give each empty cluster the farthest point of a cluster that keeps one.
+
+    ``own`` holds each point's squared distance to its centroid; it and
+    ``labels`` are updated in place.
+    """
     counts = np.bincount(labels, minlength=k)
-    own = dists[np.arange(points.shape[0]), labels].copy()
     for j in np.flatnonzero(counts == 0):
         donors = counts[labels] >= 2
         if not donors.any():
@@ -66,15 +69,15 @@ def _repair_empty(points, centroids, labels, dists):
 
 
 def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
+    point_sq = np.einsum("nm,nm->n", points, points)
     centroids = _plusplus_init(points, k, rng)
-    dists = sq_distances(points, centroids)
-    labels = np.argmin(dists, axis=1).astype(np.int64)
-    inertia = float(dists[np.arange(points.shape[0]), labels].sum())
+    labels, own = nearest_centres(points, centroids, point_sq)
+    inertia = float(own.sum())
     n_iter = 0
     for n_iter in range(1, max_iters + 1):
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
-            labels = _repair_empty(points, centroids, labels, dists)
+            labels = _repair_empty(labels, own, k)
             counts = np.bincount(labels, minlength=k)
         # Each column's cluster sums add the rows in index order, as np.add.at would.
         new_centroids = np.empty((k, points.shape[1]))
@@ -83,9 +86,8 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
         new_centroids /= counts[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        dists = sq_distances(points, centroids)
-        new_labels = np.argmin(dists, axis=1).astype(np.int64)
-        inertia = float(dists[np.arange(points.shape[0]), new_labels].sum())
+        new_labels, own = nearest_centres(points, centroids, point_sq)
+        inertia = float(own.sum())
         done = bool((new_labels == labels).all()) or shift < tol
         labels = new_labels
         if done:
@@ -105,6 +107,8 @@ def kmeans_fit(
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DataError(f"points must be 2-d, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise DataError("points contain non-finite values")
     n = points.shape[0]
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")

@@ -197,15 +197,20 @@ def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
     y = rng.normal((n, 2), std=1e-4)
     velocity = np.zeros_like(y)
     scratch, w = np.empty((n, n)), np.empty((n, n))
-    for it in range(config.iterations):
-        if exaggerated and it >= _EXAGGERATION_UNTIL:
-            p = p / config.early_exaggeration
-            exaggerated = False
-        momentum = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
-        grad = _tsne_gradient(p, y, scratch, w)
-        velocity = momentum * velocity - config.learning_rate * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
-    if not np.isfinite(y).all():
-        raise NumericError("t-SNE layout diverged to non-finite coordinates")
+    # A diverging layout stops at its first non-finite step; the error
+    # reports it, not numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(config.iterations):
+            if exaggerated and it >= _EXAGGERATION_UNTIL:
+                p = p / config.early_exaggeration
+                exaggerated = False
+            momentum = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
+            grad = _tsne_gradient(p, y, scratch, w)
+            velocity = momentum * velocity - config.learning_rate * grad
+            y = y + velocity
+            y = y - y.mean(axis=0)
+            if not np.isfinite(y).all():
+                raise NumericError(
+                    f"t-SNE layout diverged to non-finite coordinates at iteration {it + 1}"
+                )
     return y

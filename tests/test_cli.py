@@ -699,6 +699,25 @@ def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.delf"]
 
 
+def test_diverging_tsne_stops_with_only_the_error(tmp_path):
+    # The layout is checked every iteration, so numpy's overflow warnings
+    # from the steps after divergence never reach stderr.
+    path = tmp_path / "rows.delf"
+    write_features(FeatureMatrix.from_array(Rng(31).normal((60, 4))), str(path))
+    argv = ["project", "--features", str(path), "--method", "tsne", "--perplexity", "4",
+            "--iterations", "30", "--learning-rate", "1e300", "--out", str(tmp_path / "xy.csv")]
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; from delius.cli import main; sys.exit(main({argv!r}))"],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delius.__file__))),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 4, result.stderr
+    assert "t-SNE layout diverged" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "xy.csv").exists()
+
+
 def test_unknown_flag_exit_2(capsys):
     assert main(["pretrain", "--bogus"]) == 2
 

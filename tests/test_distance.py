@@ -1,13 +1,18 @@
-"""The shared squared-distance kernels: their tie contract and their layering."""
+"""The shared squared-distance kernels: their tie contract, the assignment
+screen and their layering."""
 
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delius
-from delius.distance import sq_distances
+from delius import distance
+from delius.distance import nearest_centres, sq_distances
 from delius.kmeans import kmeans_fit
 from delius.rng import Rng
 
@@ -78,3 +83,102 @@ def test_distance_module_sits_below_its_callers():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["['delius.distance']", "False"]
+
+
+# ---------------------------------------------------------------------------
+# nearest_centres: the GEMM screen must give argmin(sq_distances) and its
+# entries, bit for bit, deciding every close row with the exact kernel.
+
+
+def _expected(points, centres):
+    d = sq_distances(points, centres)
+    labels = np.argmin(d, axis=1)
+    return labels, d[np.arange(points.shape[0]), labels]
+
+
+def _check_nearest(points, centres):
+    labels, own = nearest_centres(points, centres, np.einsum("nm,nm->n", points, points))
+    want_labels, want_own = _expected(points, centres)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, want_labels)
+    assert own.tobytes() == want_own.tobytes()
+    return labels
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.sampled_from([0, 1, 2, 10, 50, 512]),
+    st.integers(-4, 4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_nearest_centres_equals_exact_argmin(seed, n, k, m, exponent, dup_rows, dup_centres):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    points = rng.normal(scale=scale, size=(n, m)) + rng.normal(scale=3 * scale, size=m)
+    if dup_rows and n > 1:
+        points[rng.integers(0, n, n // 2)] = points[0]
+    centres = points[rng.integers(0, n, k)] if rng.random() < 0.3 else (
+        rng.normal(scale=scale, size=(k, m)) + points.mean(axis=0))
+    if dup_centres and k > 1:
+        centres[rng.integers(0, k, k // 2)] = centres[-1]
+    _check_nearest(np.ascontiguousarray(points), np.ascontiguousarray(centres))
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Counts the rows nearest_centres sends to the exact kernel."""
+    rows = []
+
+    def counting(points, centres):
+        rows.append(points.shape[0])
+        return sq_distances(points, centres)
+
+    monkeypatch.setattr(distance, "sq_distances", counting)
+    return rows
+
+
+def test_screen_settles_separated_points(exact_rows):
+    rng = Rng(21)
+    centres = 8.0 * rng.normal((6, 10))
+    points = np.vstack([c + rng.normal((100, 10)) for c in centres])
+    _check_nearest(points, centres)
+    assert exact_rows == []  # the screen settled every row
+
+
+def test_equidistant_points_go_to_exact_kernel(exact_rows):
+    centres = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    points = np.array([[0.0, y] for y in range(-5, 6)] + [[0.5, 0.0], [-3.0, 1.0]])
+    labels = _check_nearest(points, centres)
+    assert exact_rows[0] == 11  # every point on the bisector
+    assert labels.tolist() == [0] * 11 + [0, 1]
+
+
+def test_duplicate_centres_go_to_exact_kernel(exact_rows):
+    rng = Rng(22)
+    centres = 5.0 * rng.normal((4, 7))
+    points = np.vstack([c + rng.normal((50, 7)) for c in centres])
+    centres = centres[[0, 1, 1, 2, 3, 3]]
+    labels = _check_nearest(points, centres)
+    assert exact_rows[0] == 100  # the clusters of the two doubled centres
+    assert set(labels.tolist()) == {0, 1, 3, 4}
+
+
+def test_tie_heavy_lattice_goes_to_exact_kernel(exact_rows):
+    grid = np.arange(15.0)
+    points = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), -1).reshape(-1, 3)[:3000]
+    centres = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 8.0], [8.0, 4.0, 2.0], [11.0, 11.0, 11.0],
+                        [5.0, 12.0, 6.0], [12.0, 2.0, 9.0], [4.0, 8.0, 12.0]])
+    _check_nearest(points, centres)
+    assert 0 < exact_rows[0] < 3000
+
+
+def test_overflowing_rows_go_to_exact_kernel(exact_rows):
+    centres = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    points = np.array([[0.0, 0.0], [1.0, 0.5], [3e199, 1.0], [-1e200, 5.0]])
+    with np.errstate(over="ignore"):
+        _check_nearest(points, centres)
+    assert exact_rows[0] == 4

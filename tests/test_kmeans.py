@@ -119,6 +119,14 @@ def test_validation_errors():
         kmeans_fit(np.zeros(4), 2, Rng(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    points = np.random.default_rng(17).normal(size=(20, 3))
+    points[11, 2] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        kmeans_fit(points, 3, Rng(0))
+
+
 def test_more_restarts_never_worse():
     points = np.random.default_rng(15).normal(size=(40, 2))
     few = kmeans_fit(points, 6, Rng(16), restarts=2)
@@ -166,6 +174,23 @@ def _frozen_plusplus_init(points, k, rng):
     return points[np.array(chosen)].copy()
 
 
+def _frozen_repair_empty(points, centroids, labels, dists):
+    k = centroids.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    own = dists[np.arange(points.shape[0]), labels].copy()
+    for j in np.flatnonzero(counts == 0):
+        donors = counts[labels] >= 2
+        if not donors.any():
+            break
+        candidate_dist = np.where(donors, own, -np.inf)
+        idx = int(np.argmax(candidate_dist))
+        counts[labels[idx]] -= 1
+        labels[idx] = j
+        counts[j] = 1
+        own[idx] = 0.0
+    return labels
+
+
 def _frozen_lloyd(points, k, rng, max_iters, tol):
     centroids = _frozen_plusplus_init(points, k, rng)
     dists = _frozen_sq_distances(points, centroids)
@@ -177,7 +202,7 @@ def _frozen_lloyd(points, k, rng, max_iters, tol):
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
             repairs += 1
-            labels = kmeans._repair_empty(points, centroids, labels, dists)
+            labels = _frozen_repair_empty(points, centroids, labels, dists)
             counts = np.bincount(labels, minlength=k)
         new_centroids = np.zeros_like(centroids)
         np.add.at(new_centroids, labels, points)
