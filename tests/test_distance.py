@@ -90,18 +90,12 @@ def test_distance_module_sits_below_its_callers():
 # entries, bit for bit, deciding every close row with the exact kernel.
 
 
-def _expected(points, centres):
-    d = sq_distances(points, centres)
-    labels = np.argmin(d, axis=1)
-    return labels, d[np.arange(points.shape[0]), labels]
-
-
 def _check_nearest(points, centres):
     labels, own = nearest_centres(points, centres, np.einsum("nm,nm->n", points, points))
-    want_labels, want_own = _expected(points, centres)
+    d = sq_distances(points, centres)
     assert labels.dtype == np.int64
-    assert np.array_equal(labels, want_labels)
-    assert own.tobytes() == want_own.tobytes()
+    assert np.array_equal(labels, np.argmin(d, axis=1))
+    assert own.tobytes() == d[np.arange(points.shape[0]), labels].tobytes()
     return labels
 
 
