@@ -33,6 +33,7 @@ import csv
 import io
 import math
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -231,7 +232,9 @@ def _read_container(path: str, magic: bytes, n_dims: int, what: str):
             f"{path}: payload size mismatch at byte offset {reader.offset}: "
             f"expected {size} bytes, found {reader.remaining}"
         )
-    values = np.frombuffer(reader.take(size, "payload"), dtype).astype(np.float64).reshape(dims)
+    # An f64 payload stays a view of the file's bytes: the read holds one full-size buffer.
+    payload = np.frombuffer(reader.take(size, "payload"), dtype)
+    values = payload.astype(np.float64, copy=False).reshape(dims)
     return values, _read_id_sidecar(path, dims[0]) or default_ids(dims[0])
 
 
@@ -311,6 +314,114 @@ def _parse_cells(path: str, r: int, cells: Sequence[str], first_column: int, par
     return out
 
 
+_CSV_CHUNK_BYTES = 1 << 18  # bytes of whole rows the bulk CSV parser holds at once
+_NUMBER_BYTES = b"0123456789.eE+-,"
+
+
+class _Irregular(Exception):
+    """A CSV file outside the bulk parser's grammar: the per-cell reader reads it."""
+
+
+def _bulk_csv(
+    path: str, header: bool, lead: int
+) -> tuple[list[str] | None, list[list[str]], np.ndarray]:
+    """(header cells or None, the ``lead`` text columns, the numeric columns) of a CSV file.
+
+    The file is read in chunks of whole rows, about ``_CSV_CHUNK_BYTES``
+    each, into one float64 array sized by a first pass that counts the
+    lines.  Each chunk's numeric cells go through one ``np.fromstring``
+    call, which rounds every cell as ``float()`` does.  Every data row
+    holds as many cells as the first: ``lead`` text cells, then numbers.
+
+    Raises ``_Irregular`` where the file leaves the grammar this parser
+    reads exactly: UTF-8; no ``"``, carriage return, NUL or blank line;
+    no line longer than the csv module's field size limit; one cell
+    count per data row and at least one data row; numeric cells made
+    only of ``0-9.eE+-`` that parse to one number each, without a
+    warning.  The per-cell reader then reads the file and reports any
+    error, so it stays the only source of error messages.
+    """
+    limit = csv.field_size_limit()
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        raise _Irregular from None
+    with fh:
+        n = _count_lines(fh) - header
+        head, columns, values, filled = None, [[] for _ in range(lead)], None, 0
+        while lines := fh.readlines(_CSV_CHUNK_BYTES):
+            rows = _chunk_rows(b"".join(lines), limit)
+            if header and head is None:
+                head = rows.pop(0).split(",")
+            if not rows:
+                continue
+            if values is None:
+                commas = rows[0].count(",")
+                if commas + 1 < lead:
+                    raise _Irregular
+                values = np.empty((n, commas + 1 - lead))
+            numbers = []
+            for row in rows:
+                if row.count(",") != commas:
+                    raise _Irregular
+                cells = row.split(",", lead)
+                for column, cell in zip(columns, cells):
+                    column.append(cell)
+                numbers += cells[lead:]
+            if filled + len(rows) > n:
+                raise _Irregular
+            if numbers:
+                values[filled : filled + len(rows)] = _parse_numbers(numbers, values.shape[1])
+            filled += len(rows)
+    if values is None or filled != n:
+        raise _Irregular
+    return head, columns, values
+
+
+def _count_lines(fh) -> int:
+    """Lines in a binary file, counting an unterminated last line; rewinds it."""
+    count, last = 0, b"\n"
+    while block := fh.read(_CSV_CHUNK_BYTES):
+        count += block.count(b"\n")
+        last = block[-1:]
+    fh.seek(0)
+    return count + (last != b"\n")
+
+
+def _chunk_rows(block: bytes, limit: int) -> list[str]:
+    """The lines of a chunk of whole rows, if they keep the bulk grammar."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        raise _Irregular
+    try:
+        rows = block.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _Irregular from None
+    if not rows[-1]:  # the newline ending the chunk
+        rows.pop()
+    if not all(0 < len(row) <= limit for row in rows):
+        raise _Irregular
+    return rows
+
+
+def _parse_numbers(rows: list[str], width: int) -> np.ndarray:
+    """``width`` comma-separated numbers from each of ``rows``, as a len(rows) x width array."""
+    try:
+        text = ",".join(rows).encode("ascii")
+    except UnicodeEncodeError:
+        raise _Irregular from None
+    if text.translate(None, _NUMBER_BYTES):
+        raise _Irregular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy warns where it stops early
+        try:
+            parsed = np.fromstring(text, sep=",")
+        except (ValueError, DeprecationWarning):
+            raise _Irregular from None
+    if parsed.size != len(rows) * width:
+        raise _Irregular
+    return parsed.reshape(len(rows), width)
+
+
 @contextmanager
 def _csv_writer(path: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -341,6 +452,16 @@ def read_features(path: str, fmt: str = "auto", header: bool = False) -> Feature
 
 
 def _read_features_csv(path: str, header: bool) -> FeatureMatrix:
+    try:
+        _, (ids,), values = _bulk_csv(path, header, 1)
+        if not values.shape[1]:
+            raise _Irregular
+    except _Irregular:
+        return _read_features_cells(path, header)
+    return FeatureMatrix(values=values, ids=tuple(ids))
+
+
+def _read_features_cells(path: str, header: bool) -> FeatureMatrix:
     rows = _csv_rows(path, "features file")
     if header:
         next(rows, None)
@@ -536,6 +657,20 @@ def write_assignments(assignments: ClusterAssignments, path: str) -> None:
 
 
 def read_assignments(path: str) -> ClusterAssignments:
+    try:
+        header, (ids, clusters), q = _bulk_csv(path, True, 2)
+        if header != ["id", "cluster"] + [f"q_{j}" for j in range(q.shape[1])]:
+            raise _Irregular
+        try:
+            hard = [int(cell) for cell in clusters]
+        except ValueError:
+            raise _Irregular from None
+    except _Irregular:
+        return _read_assignments_cells(path)
+    return ClusterAssignments(ids=tuple(ids), hard=hard, q=q if q.shape[1] else None)
+
+
+def _read_assignments_cells(path: str) -> ClusterAssignments:
     rows = _csv_rows(path, "assignments file")
     _, header = next(rows, (0, None))
     if header is None:
@@ -586,6 +721,16 @@ def write_xy(path: str, ids: Sequence[str], coords: np.ndarray, pca_style: bool)
 
 
 def read_xy(path: str) -> tuple[list[str], np.ndarray]:
+    try:
+        header, (ids,), coords = _bulk_csv(path, True, 1)
+        if header[0] != "id" or not 2 <= coords.shape[1] == len(header) - 1:
+            raise _Irregular
+    except _Irregular:
+        return _read_xy_cells(path)
+    return ids, np.ascontiguousarray(coords[:, :2])
+
+
+def _read_xy_cells(path: str) -> tuple[list[str], np.ndarray]:
     rows = _csv_rows(path, "projection file")
     _, header = next(rows, (0, []))
     if header[:1] != ["id"] or len(header) < 3:

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK_ROWS = 1024  # rows per block of the n x n passes: their scratch is BLOCK_ROWS x n
+# Bytes per row block of the n x n passes.  A block of distances, its pair
+# sums and silhouette's bin index for it, three buffers this size, fit in
+# a 2 MiB L2 cache.
+BLOCK_BYTES = 1 << 19
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of an n x n pass: as many rows of n as fit in BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (8 * n))
 
 
 def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -24,12 +32,12 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     sums follow the layout of ``points``; the result is C-ordered because
     row sums over it follow its layout.
     """
-    out = np.empty((centers.shape[0], points.shape[0]))
+    out = np.empty((points.shape[0], centers.shape[0]))
     diff = np.empty_like(points)
     for j, center in enumerate(centers):
         np.subtract(points, center, out=diff)
-        np.einsum("nm,nm->n", diff, diff, out=out[j])
-    return np.ascontiguousarray(out.T)
+        np.einsum("nm,nm->n", diff, diff, out=out[:, j])
+    return out
 
 
 # Rounding error of a length-m dot product or squared distance is at most
@@ -97,21 +105,34 @@ def sq_distance_matrix(
 
     Silhouette, ``joint_affinities`` and ``_tsne_gradient`` use this form.
     One n x n array is allocated, or ``out`` is filled: the Gram matrix,
-    doubled in place, then ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` written
-    back over it one block of rows at a time, the same float operations
-    in the same order as the whole-matrix broadcast.  ``scratch``, if
-    given, holds the blocks; it needs min(BLOCK_ROWS, n) rows of n.
+    then, one block of rows at a time, doubled and written back as
+    ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j``, clipped and with its diagonal
+    zeroed: the same float operations in the same order as the
+    whole-matrix broadcast.  A block is ``block_rows(n)`` rows, or as
+    many rows as ``scratch`` has if it is given to hold the sums.
     """
     n = points.shape[0]
-    sq = np.einsum("nd,nd->n", points, points)
-    out = np.matmul(points, points.T, out=out)
-    out *= 2.0
-    pair = np.empty((min(BLOCK_ROWS, n), n)) if scratch is None else scratch
-    for start in range(0, n, BLOCK_ROWS):
-        rows = out[start : start + BLOCK_ROWS]
-        block = pair[: rows.shape[0]]
-        np.add(sq[start : start + BLOCK_ROWS, None], sq[None, :], out=block)
-        np.subtract(block, rows, out=rows)
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
+    out = np.empty((n, n)) if out is None else out
+    for _ in sq_distance_blocks(points, out, scratch):
+        pass
     return out
+
+
+def sq_distance_blocks(points: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None):
+    """Fill ``out`` as ``sq_distance_matrix`` does, yielding ``(start, rows)``
+    for each block as it is finished, while it is still in cache."""
+    n = points.shape[0]
+    sq = np.einsum("nd,nd->n", points, points)
+    np.matmul(points, points.T, out=out)
+    pair = np.empty((min(block_rows(n), n), n)) if scratch is None else scratch
+    step = pair.shape[0]
+    for start in range(0, n, step):
+        rows = out[start : start + step]
+        m = rows.shape[0]
+        block = pair[:m]
+        rows *= 2.0
+        np.add(sq[start : start + m, None], sq[None, :], out=block)
+        np.subtract(block, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        np.fill_diagonal(rows[:, start : start + m], 0.0)
+        yield start, rows

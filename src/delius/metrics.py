@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import BLOCK_ROWS, sq_distance_matrix
+from .distance import block_rows, sq_distance_blocks
 from .errors import ConfigError, DataError, ShapeError
 
 
@@ -41,7 +41,9 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
 
     A point's distance sum to each cluster adds that cluster's members
     one at a time in index order: one weighted ``bincount`` per block of
-    rows, with a bin for every (row, cluster) pair.
+    rows, with a bin for every (row, cluster) pair, taken as each block
+    of distances is finished.  The n x n matrix is the one full-size
+    array.
     """
     points, labels = _check_points_labels(points, labels)
     n = points.shape[0]
@@ -49,13 +51,11 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     k = len(clusters)
     if not 2 <= k <= n - 1:
         raise ConfigError(f"silhouette needs 2 <= clusters <= n - 1, got k={k}, n={n}")
-    dist = sq_distance_matrix(points)
-    np.sqrt(dist, out=dist)
-    bins = own + k * np.arange(min(BLOCK_ROWS, n))[:, None]
+    bins = own + k * np.arange(min(block_rows(n), n))[:, None]
     sums = np.empty((n, k))
-    for start in range(0, n, BLOCK_ROWS):
-        rows = dist[start : start + BLOCK_ROWS]
+    for start, rows in sq_distance_blocks(points, np.empty((n, n))):
         m = rows.shape[0]
+        np.sqrt(rows, out=rows)
         sums[start : start + m] = np.bincount(
             bins[:m].ravel(), weights=rows.ravel(), minlength=m * k
         ).reshape(m, k)

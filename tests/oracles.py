@@ -1,8 +1,18 @@
-"""Independent reference computations shared by the test modules."""
+"""Independent reference computations and measurements shared by the test modules."""
 
+import tracemalloc
 from typing import Callable
 
 import numpy as np
+
+from delius.dataio import (
+    ClusterAssignments,
+    FeatureMatrix,
+    _check_width,
+    _csv_rows,
+    _parse_cells,
+)
+from delius.errors import FormatError
 
 
 def numeric_gradient(
@@ -27,3 +37,81 @@ def numeric_gradient(
         out[idx] = (hi - lo) / (2.0 * step)
         it.iternext()
     return out
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
+    """``call()`` and the most bytes tracemalloc saw it hold at once, its result included."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - before
+
+
+# Frozen copies of the per-cell CSV readers, which parse every cell with
+# float() or int(): the readers must give the same values, ids and errors.
+
+
+def features_csv_by_cell(path: str, header: bool) -> FeatureMatrix:
+    rows = _csv_rows(path, "features file")
+    if header:
+        next(rows, None)
+    ids, values = [], []
+    for r, cells in rows:
+        if not ids:
+            width = len(cells)
+            if width < 2:
+                raise FormatError(f"{path}: row {r} has no feature columns")
+        _check_width(path, r, cells, width)
+        ids.append(cells[0])
+        values.append(_parse_cells(path, r, cells[1:], 2))
+    if not ids:
+        raise FormatError(f"{path}: no data rows")
+    return FeatureMatrix(values=np.array(values, dtype=np.float64), ids=tuple(ids))
+
+
+def assignments_by_cell(path: str) -> ClusterAssignments:
+    rows = _csv_rows(path, "assignments file")
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise FormatError(f"{path}: empty file")
+    if header[:2] != ["id", "cluster"]:
+        raise FormatError(f"{path}: header must start with 'id,cluster'")
+    q_cols = header[2:]
+    for j, name in enumerate(q_cols):
+        if name != f"q_{j}":
+            raise FormatError(f"{path}: unexpected soft assignment column {name!r}")
+    ids = []
+    hard = []
+    q_rows = [] if q_cols else None
+    for r, cells in rows:
+        _check_width(path, r, cells, len(header))
+        ids.append(cells[0])
+        hard += _parse_cells(path, r, cells[1:2], 2, int)
+        if q_rows is not None:
+            q_rows.append(_parse_cells(path, r, cells[2:], 3))
+    if not ids:
+        raise FormatError(f"{path}: no data rows")
+    return ClusterAssignments(ids=tuple(ids), hard=hard, q=q_rows)
+
+
+def xy_by_cell(path: str) -> tuple[list[str], np.ndarray]:
+    rows = _csv_rows(path, "projection file")
+    _, header = next(rows, (0, []))
+    if header[:1] != ["id"] or len(header) < 3:
+        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
+    ids, coords = [], []
+    for r, cells in rows:
+        _check_width(path, r, cells, len(header))
+        ids.append(cells[0])
+        coords.append(_parse_cells(path, r, cells[1:3], 2))
+    if not ids:
+        raise FormatError(f"{path}: no data rows")
+    return ids, np.array(coords, dtype=np.float64)

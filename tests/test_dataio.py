@@ -26,6 +26,7 @@ from delius.dataio import (
     write_label_manifest,
 )
 from delius.errors import ConfigError, DataError, FormatError
+from oracles import traced_peak
 
 
 def _matrix(values, ids=None):
@@ -146,6 +147,17 @@ def test_binary_roundtrip_bit_exact(tmp_path):
     back = read_features(path)
     assert back.values.tobytes() == m.values.tobytes()
     assert back.ids == m.ids
+
+
+def test_binary_f64_read_holds_one_full_size_array(tmp_path):
+    # The payload is a view of the file's bytes; a float64 copy of it took
+    # 2.03 x the array.
+    values = np.random.default_rng(4).normal(size=(2000, 256))
+    path = str(tmp_path / "m.delf")
+    write_features(_matrix(values), path)
+    matrix, peak = traced_peak(lambda: read_features(path))
+    assert matrix.values.tobytes() == values.tobytes()
+    assert peak <= 1.2 * values.nbytes, f"peak {peak / values.nbytes:.2f} x the array"
 
 
 def test_binary_f32_payload_widens(tmp_path):

@@ -15,6 +15,7 @@ from delius import distance
 from delius.distance import nearest_centres, sq_distances
 from delius.kmeans import kmeans_fit
 from delius.rng import Rng
+from oracles import traced_peak
 
 
 def test_tie_goes_to_lowest_index():
@@ -66,6 +67,15 @@ def test_kmeans_on_equidistant_points_stable_across_restarts():
         assert again.centroids.tobytes() == first.centroids.tobytes()
     d = sq_distances(points, first.centroids)
     assert np.array_equal(first.labels, np.argmin(d, axis=1))
+
+
+def test_sq_distances_holds_its_result_and_one_difference():
+    # A k x n buffer and its transposed copy beside the result took 3.0 x
+    # the result's 8 n k bytes.
+    n, m, k = 6000, 10, 10
+    points, centres = Rng(5).normal((n, m)), Rng(6).normal((k, m))
+    _, peak = traced_peak(lambda: sq_distances(points, centres))
+    assert peak <= 1.1 * 8 * n * (k + m), f"peak {peak / (8 * n * (k + m)):.3f} x 8 n (k + m)"
 
 
 def test_distance_module_sits_below_its_callers():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delius.distance import sq_distance_matrix
+from delius.distance import block_rows, sq_distance_matrix
 from delius.errors import ConfigError, DataError, ShapeError
 from delius.metrics import (
     EvalReport,
@@ -20,6 +20,7 @@ from delius.metrics import (
     silhouette,
 )
 from delius.rng import Rng
+from oracles import traced_peak
 
 
 # Reference implementations: plain loops, no shared code with the
@@ -184,9 +185,12 @@ def _frozen_silhouette(points, labels):
     return float(scores.mean())
 
 
-@pytest.mark.parametrize("n", [7, 1023, 1024, 1025, 3000])
+# 255, 256 and 257 sit on each side of one full block (block_rows(256) is
+# 256); 1001 takes fifteen full blocks and a short one.
+@pytest.mark.parametrize("n", [7, 255, 256, 257, 1001, 1023, 1024, 1025, 3000])
 @pytest.mark.parametrize("d, k", [(1, 2), (10, 5), (64, 37)])
 def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
+    assert (block_rows(n) >= n) == (n <= 256)
     k = min(k, n - 2)
     rng = Rng(1000 * n + d)
     points = rng.normal((n, d))
@@ -197,6 +201,15 @@ def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
     labels[-1] = -1  # a singleton cluster
     assert np.array_equal(sq_distance_matrix(points), _frozen_sq_distance_matrix(points))
     assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels).hex()
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_silhouette_holds_one_distance_matrix(n):
+    # A pair buffer and a bin index of 1024 rows each beside the n x n
+    # matrix reached 2.03 x its 8 n^2 bytes at n = 1000.
+    points = Rng(n).normal((n, 10))
+    _, peak = traced_peak(lambda: silhouette(points, np.arange(n) % 7))
+    assert peak <= 1.2 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} x 8 n^2"
 
 
 # ---------------------------------------------------------------------------
