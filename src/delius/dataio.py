@@ -319,7 +319,7 @@ _NUMBER_BYTES = b"0123456789.eE+-,"
 
 
 class _Irregular(Exception):
-    """A CSV file outside the bulk parser's grammar: the per-cell reader reads it."""
+    """A CSV file outside the bulk parser's grammar: its reader reads it cell by cell."""
 
 
 def _bulk_csv(
@@ -338,8 +338,10 @@ def _bulk_csv(
     no line longer than the csv module's field size limit; one cell
     count per data row and at least one data row; numeric cells made
     only of ``0-9.eE+-`` that parse to one number each, without a
-    warning.  The per-cell reader then reads the file and reports any
-    error, so it stays the only source of error messages.
+    warning.  The reader then carries on cell by cell and reports any
+    error.  A header line inside the grammar splits on commas into the
+    cells csv gives, so a reader checks it with the rule its per-cell
+    path uses, and either path raises the same error for it.
     """
     limit = csv.field_size_limit()
     try:
@@ -428,6 +430,19 @@ def _csv_writer(path: str):
         yield csv.writer(fh, lineterminator="\n")
 
 
+def _write_table(
+    path: str, header: list[str] | None, lead: Sequence[Sequence[str]], values: np.ndarray
+) -> None:
+    """A CSV file: the header row if given, then for each row its ``lead`` text
+    cells and the ``repr`` of each float64 value, which round-trips."""
+    values = np.asarray(values, dtype=np.float64)
+    with _csv_writer(path) as writer:
+        if header is not None:
+            writer.writerow(header)
+        for cells, row in zip(zip(*lead), values):
+            writer.writerow([*cells, *map(repr, row.tolist())])
+
+
 def _infer_format(path: str) -> str:
     lowered = path.lower()
     if lowered.endswith(".csv"):
@@ -446,22 +461,14 @@ def read_features(path: str, fmt: str = "auto", header: bool = False) -> Feature
     if fmt == "binary":
         values, ids = _read_container(path, _MAGIC_MATRIX, 2, "features file")
         return FeatureMatrix(values=values, ids=ids)
-    if fmt == "csv":
-        return _read_features_csv(path, header)
-    raise ConfigError(f"unknown feature format {fmt!r}")
-
-
-def _read_features_csv(path: str, header: bool) -> FeatureMatrix:
+    if fmt != "csv":
+        raise ConfigError(f"unknown feature format {fmt!r}")
     try:
         _, (ids,), values = _bulk_csv(path, header, 1)
-        if not values.shape[1]:
-            raise _Irregular
+        if values.shape[1]:
+            return FeatureMatrix(values=values, ids=tuple(ids))
     except _Irregular:
-        return _read_features_cells(path, header)
-    return FeatureMatrix(values=values, ids=tuple(ids))
-
-
-def _read_features_cells(path: str, header: bool) -> FeatureMatrix:
+        pass
     rows = _csv_rows(path, "features file")
     if header:
         next(rows, None)
@@ -489,9 +496,7 @@ def write_features(
         _write_container(path, _MAGIC_MATRIX, matrix.values, matrix.ids, dtype)
         return
     if fmt == "csv":
-        with _csv_writer(path) as writer:
-            for i, row in zip(matrix.ids, matrix.values):
-                writer.writerow([i] + [repr(float(v)) for v in row])
+        _write_table(path, None, [matrix.ids], matrix.values)
         return
     raise ConfigError(f"unknown feature format {fmt!r}")
 
@@ -644,46 +649,40 @@ class ClusterAssignments:
 
 
 def write_assignments(assignments: ClusterAssignments, path: str) -> None:
-    with _csv_writer(path) as writer:
-        header = ["id", "cluster"]
-        if assignments.q is not None:
-            header += [f"q_{j}" for j in range(assignments.q.shape[1])]
-        writer.writerow(header)
-        for r in range(assignments.n):
-            row = [assignments.ids[r], str(int(assignments.hard[r]))]
-            if assignments.q is not None:
-                row += [repr(float(v)) for v in assignments.q[r]]
-            writer.writerow(row)
+    q = np.empty((assignments.n, 0)) if assignments.q is None else assignments.q
+    header = ["id", "cluster"] + [f"q_{j}" for j in range(q.shape[1])]
+    _write_table(path, header, [assignments.ids, list(map(str, assignments.hard.tolist()))], q)
+
+
+def _check_assignments_header(path: str, header: list[str] | None) -> None:
+    if header is None:
+        raise FormatError(f"{path}: empty file")
+    if header[:2] != ["id", "cluster"]:
+        raise FormatError(f"{path}: header must start with 'id,cluster'")
+    for j, name in enumerate(header[2:]):
+        if name != f"q_{j}":
+            raise FormatError(f"{path}: unexpected soft assignment column {name!r}")
 
 
 def read_assignments(path: str) -> ClusterAssignments:
     try:
         header, (ids, clusters), q = _bulk_csv(path, True, 2)
-        if header != ["id", "cluster"] + [f"q_{j}" for j in range(q.shape[1])]:
+        _check_assignments_header(path, header)
+        if len(header) != 2 + q.shape[1]:
             raise _Irregular
         try:
             hard = [int(cell) for cell in clusters]
         except ValueError:
             raise _Irregular from None
+        return ClusterAssignments(ids=tuple(ids), hard=hard, q=q if q.shape[1] else None)
     except _Irregular:
-        return _read_assignments_cells(path)
-    return ClusterAssignments(ids=tuple(ids), hard=hard, q=q if q.shape[1] else None)
-
-
-def _read_assignments_cells(path: str) -> ClusterAssignments:
+        pass
     rows = _csv_rows(path, "assignments file")
     _, header = next(rows, (0, None))
-    if header is None:
-        raise FormatError(f"{path}: empty file")
-    if header[:2] != ["id", "cluster"]:
-        raise FormatError(f"{path}: header must start with 'id,cluster'")
-    q_cols = header[2:]
-    for j, name in enumerate(q_cols):
-        if name != f"q_{j}":
-            raise FormatError(f"{path}: unexpected soft assignment column {name!r}")
+    _check_assignments_header(path, header)
     ids = []
     hard = []
-    q_rows = [] if q_cols else None
+    q_rows = [] if header[2:] else None
     for r, cells in rows:
         _check_width(path, r, cells, len(header))
         ids.append(cells[0])
@@ -714,27 +713,25 @@ def write_xy(path: str, ids: Sequence[str], coords: np.ndarray, pca_style: bool)
     header = ["id"] + (
         [f"c_{j + 1}" for j in range(coords.shape[1])] if pca_style else ["x", "y"]
     )
-    with _csv_writer(path) as writer:
-        writer.writerow(header)
-        for i, row in zip(ids, coords):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    _write_table(path, header, [ids], coords)
+
+
+def _check_xy_header(path: str, header: list[str]) -> None:
+    if header[:1] != ["id"] or len(header) < 3:
+        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
 
 
 def read_xy(path: str) -> tuple[list[str], np.ndarray]:
     try:
         header, (ids,), coords = _bulk_csv(path, True, 1)
-        if header[0] != "id" or not 2 <= coords.shape[1] == len(header) - 1:
-            raise _Irregular
+        _check_xy_header(path, header)
+        if coords.shape[1] == len(header) - 1:
+            return ids, np.ascontiguousarray(coords[:, :2])
     except _Irregular:
-        return _read_xy_cells(path)
-    return ids, np.ascontiguousarray(coords[:, :2])
-
-
-def _read_xy_cells(path: str) -> tuple[list[str], np.ndarray]:
+        pass
     rows = _csv_rows(path, "projection file")
     _, header = next(rows, (0, []))
-    if header[:1] != ["id"] or len(header) < 3:
-        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
+    _check_xy_header(path, header)
     ids, coords = [], []
     for r, cells in rows:
         _check_width(path, r, cells, len(header))

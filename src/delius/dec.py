@@ -120,8 +120,9 @@ def _check_centroids(mu: np.ndarray) -> np.ndarray:
     return mu
 
 
-def soft_assign(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Student-t soft assignment rows; each row sums to 1."""
+def _student_t(z: np.ndarray, mu: np.ndarray):
+    """(z, mu, w, q) for checked points and centroids: the Student-t kernel
+    ``w = 1 / (1 + |z_i - mu_j|^2)`` and its rows normalised to sum to 1."""
     z = np.ascontiguousarray(z, dtype=np.float64)
     mu = _check_centroids(mu)
     if z.ndim != 2 or z.shape[1] != mu.shape[1]:
@@ -129,7 +130,12 @@ def soft_assign(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
             f"embedded points {z.shape} do not match centroids {mu.shape}"
         )
     w = 1.0 / (1.0 + sq_distances(z, mu))
-    return w / w.sum(axis=1, keepdims=True)
+    return z, mu, w, w / w.sum(axis=1, keepdims=True)
+
+
+def soft_assign(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Student-t soft assignment rows; each row sums to 1."""
+    return _student_t(z, mu)[3]
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
@@ -170,15 +176,12 @@ def kl_grads(z: np.ndarray, mu: np.ndarray, p: np.ndarray):
     where w_ij is the unnormalised Student-t kernel.  The target p is
     treated as a constant.
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    mu = _check_centroids(mu)
+    z, mu, w, q = _student_t(z, mu)
     p = np.ascontiguousarray(p, dtype=np.float64)
     if p.shape != (z.shape[0], mu.shape[0]):
         raise ShapeError(
             f"target shape {p.shape} does not match ({z.shape[0]}, {mu.shape[0]})"
         )
-    w = 1.0 / (1.0 + sq_distances(z, mu))
-    q = w / w.sum(axis=1, keepdims=True)
     coef = 2.0 * w * (p - q)
     diff = z[:, None, :] - mu[None, :, :]
     grad_z = np.einsum("nk,nkm->nm", coef, diff)

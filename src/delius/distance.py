@@ -1,23 +1,19 @@
 """Squared Euclidean distances: the one kernel every clustering step shares.
 
-Two forms, each documenting the contract its callers rely on, and the
-Lloyd assignment that screens for the first.  This module imports
-nothing else from the package, so any module may use it.
+Two forms, point-to-centre and all-pairs, each documenting the contract
+its callers rely on, and the Lloyd assignment that screens for the
+first.  This module imports nothing else from the package, so any
+module may use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Bytes per row block of the n x n passes.  A block of distances, its pair
-# sums and silhouette's bin index for it, three buffers this size, fit in
-# a 2 MiB L2 cache.
+# Bytes per row block of the all-pairs pass.  A block of distances, its
+# pair sums and silhouette's bin index for it, three buffers this size,
+# fit in a 2 MiB L2 cache.
 BLOCK_BYTES = 1 << 19
-
-
-def block_rows(n: int) -> int:
-    """Rows per block of an n x n pass: as many rows of n as fit in BLOCK_BYTES, at least one."""
-    return max(1, BLOCK_BYTES // (8 * n))
 
 
 def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -98,33 +94,27 @@ def _screen(points, centres, point_sq):
     return index.astype(np.int64), (count != 1.0) | ~(radius < _SCREEN_RADIUS_LIMIT)
 
 
-def sq_distance_matrix(
+def sq_distance_blocks(
     points: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal.
+):
+    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal,
+    yielding ``(start, rows)`` for each block of rows as it is finished,
+    while it is still in cache.
 
     Silhouette, ``joint_affinities`` and ``_tsne_gradient`` use this form.
     One n x n array is allocated, or ``out`` is filled: the Gram matrix,
     then, one block of rows at a time, doubled and written back as
     ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j``, clipped and with its diagonal
     zeroed: the same float operations in the same order as the
-    whole-matrix broadcast.  A block is ``block_rows(n)`` rows, or as
-    many rows as ``scratch`` has if it is given to hold the sums.
+    whole-matrix broadcast.  ``rows`` is that block of the n x n array.
+    A block is as many rows of n as fit in ``BLOCK_BYTES``, at least one,
+    or as many rows as ``scratch`` has if it is given to hold the sums.
     """
     n = points.shape[0]
     out = np.empty((n, n)) if out is None else out
-    for _ in sq_distance_blocks(points, out, scratch):
-        pass
-    return out
-
-
-def sq_distance_blocks(points: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None):
-    """Fill ``out`` as ``sq_distance_matrix`` does, yielding ``(start, rows)``
-    for each block as it is finished, while it is still in cache."""
-    n = points.shape[0]
     sq = np.einsum("nd,nd->n", points, points)
     np.matmul(points, points.T, out=out)
-    pair = np.empty((min(block_rows(n), n), n)) if scratch is None else scratch
+    pair = np.empty((min(max(1, BLOCK_BYTES // (8 * n)), n), n)) if scratch is None else scratch
     step = pair.shape[0]
     for start in range(0, n, step):
         rows = out[start : start + step]

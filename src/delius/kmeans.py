@@ -18,8 +18,8 @@ from .errors import ConfigError, DataError
 from .rng import Rng
 
 DEFAULT_RESTARTS = 20
-DEFAULT_MAX_ITERS = 300
-DEFAULT_TOL = 1e-6
+MAX_ITERS = 300
+TOL = 1e-6  # a Lloyd run also stops once no centroid moves farther than this
 
 
 @dataclass
@@ -68,13 +68,13 @@ def _repair_empty(labels, own, k):
     return labels
 
 
-def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
+def _lloyd(points: np.ndarray, k: int, rng: Rng):
     point_sq = np.einsum("nm,nm->n", points, points)
     centroids = _plusplus_init(points, k, rng)
     labels, own = nearest_centres(points, centroids, point_sq)
     inertia = float(own.sum())
     n_iter = 0
-    for n_iter in range(1, max_iters + 1):
+    for n_iter in range(1, MAX_ITERS + 1):
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
             labels = _repair_empty(labels, own, k)
@@ -88,7 +88,7 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng, max_iters: int, tol: float):
         centroids = new_centroids
         new_labels, own = nearest_centres(points, centroids, point_sq)
         inertia = float(own.sum())
-        done = bool((new_labels == labels).all()) or shift < tol
+        done = bool((new_labels == labels).all()) or shift < TOL
         labels = new_labels
         if done:
             break
@@ -100,8 +100,6 @@ def kmeans_fit(
     k: int,
     rng: Rng,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
 ) -> KmeansResult:
     """Best of ``restarts`` seeded Lloyd runs by inertia."""
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -116,12 +114,10 @@ def kmeans_fit(
         raise ConfigError(f"k = {k} exceeds the number of points n = {n}")
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
     seeds = [rng.next_u64() for _ in range(restarts)]
     best = None
     for r, seed in enumerate(seeds):
-        centroids, labels, inertia, n_iter = _lloyd(points, k, Rng(seed), max_iters, tol)
+        centroids, labels, inertia, n_iter = _lloyd(points, k, Rng(seed))
         if best is None or inertia < best[2]:
             best = (centroids, labels, inertia, n_iter, r)
     centroids, labels, inertia, n_iter, best_index = best

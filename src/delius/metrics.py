@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import block_rows, sq_distance_blocks
+from .distance import sq_distance_blocks
 from .errors import ConfigError, DataError, ShapeError
 
 
@@ -51,10 +51,12 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     k = len(clusters)
     if not 2 <= k <= n - 1:
         raise ConfigError(f"silhouette needs 2 <= clusters <= n - 1, got k={k}, n={n}")
-    bins = own + k * np.arange(min(block_rows(n), n))[:, None]
+    bins = None
     sums = np.empty((n, k))
-    for start, rows in sq_distance_blocks(points, np.empty((n, n))):
+    for start, rows in sq_distance_blocks(points):
         m = rows.shape[0]
+        if bins is None:  # the first block is the tallest
+            bins = own + k * np.arange(m)[:, None]
         np.sqrt(rows, out=rows)
         sums[start : start + m] = np.bincount(
             bins[:m].ravel(), weights=rows.ravel(), minlength=m * k

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import sq_distance_matrix
+from .distance import sq_distance_blocks
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .rng import Rng
 
@@ -124,30 +124,31 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrised t-SNE affinity matrix; entries sum to 1.
 
     The per-point bandwidth is bisected until the conditional
-    distribution's entropy matches log(perplexity).
+    distribution's entropy matches log(perplexity).  Each row's
+    distribution overwrites its distances as each block of rows is
+    finished, so the distances and the distributions share one n x n
+    array.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    d2 = sq_distance_matrix(points)
     target = math.log(perplexity)
-    cond = np.zeros((n, n))
-    for i in range(n):
-        beta, lo, hi = 1.0, 0.0, math.inf
-        row = None
-        for _ in range(_MAX_BISECTIONS):
-            row = _conditional_row(d2[i], i, beta)
-            gap = _entropy(row) - target
-            if abs(gap) <= _ENTROPY_TOL:
-                break
-            if gap > 0.0:  # too spread out: narrow the kernel
-                lo = beta
-                beta = beta * 2.0 if math.isinf(hi) else (lo + hi) / 2.0
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
-        cond[i] = row
-    joint = (cond + cond.T) / (2.0 * n)
-    return joint
+    cond = np.empty((n, n))
+    for start, rows in sq_distance_blocks(points, out=cond):
+        for i, d2_row in enumerate(rows, start):
+            beta, lo, hi = 1.0, 0.0, math.inf
+            for _ in range(_MAX_BISECTIONS):
+                row = _conditional_row(d2_row, i, beta)
+                gap = _entropy(row) - target
+                if abs(gap) <= _ENTROPY_TOL:
+                    break
+                if gap > 0.0:  # too spread out: narrow the kernel
+                    lo = beta
+                    beta = beta * 2.0 if math.isinf(hi) else (lo + hi) / 2.0
+                else:
+                    hi = beta
+                    beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
+            d2_row[:] = row
+    return (cond + cond.T) / (2.0 * n)
 
 
 def lowdim_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -171,9 +172,9 @@ def _tsne_gradient(p: np.ndarray, y: np.ndarray, scratch: np.ndarray, w: np.ndar
     diagonal; ``scratch`` is overwritten.  ``tsne_embed`` allocates both
     once per call and never computes the divergence.
     """
-    sq_distance_matrix(y, out=w, scratch=scratch)
-    w += 1.0
-    np.divide(1.0, w, out=w)
+    for _, rows in sq_distance_blocks(y, out=w, scratch=scratch):
+        rows += 1.0
+        np.divide(1.0, rows, out=rows)
     np.fill_diagonal(w, 0.0)
     pq = np.divide(w, w.sum(), out=scratch)
     np.subtract(p, pq, out=pq)

@@ -1,5 +1,6 @@
 """Independent reference computations and measurements shared by the test modules."""
 
+import csv
 import tracemalloc
 from typing import Callable
 
@@ -115,3 +116,41 @@ def xy_by_cell(path: str) -> tuple[list[str], np.ndarray]:
     if not ids:
         raise FormatError(f"{path}: no data rows")
     return ids, np.array(coords, dtype=np.float64)
+
+
+# Frozen copies of the CSV writers, which formatted each value with
+# repr(float(v)): the writers must give the same bytes.
+
+
+def _csv_lines(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def write_features_csv_by_cell(matrix: FeatureMatrix, path: str) -> None:
+    rows = ([i] + [repr(float(v)) for v in row] for i, row in zip(matrix.ids, matrix.values))
+    _csv_lines(path, None, rows)
+
+
+def write_assignments_by_cell(assignments: ClusterAssignments, path: str) -> None:
+    header = ["id", "cluster"]
+    if assignments.q is not None:
+        header += [f"q_{j}" for j in range(assignments.q.shape[1])]
+    rows = []
+    for r in range(assignments.n):
+        row = [assignments.ids[r], str(int(assignments.hard[r]))]
+        if assignments.q is not None:
+            row += [repr(float(v)) for v in assignments.q[r]]
+        rows.append(row)
+    _csv_lines(path, header, rows)
+
+
+def write_xy_by_cell(path: str, ids, coords: np.ndarray, pca_style: bool) -> None:
+    header = ["id"] + (
+        [f"c_{j + 1}" for j in range(coords.shape[1])] if pca_style else ["x", "y"]
+    )
+    _csv_lines(path, header, ([i] + [repr(float(v)) for v in row] for i, row in zip(ids, coords)))

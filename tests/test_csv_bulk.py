@@ -1,8 +1,8 @@
 """The bulk CSV parser gives what the per-cell readers give, in bounded memory.
 
 ``read_features`` (CSV), ``read_assignments`` and ``read_xy`` parse
-well-formed files in row chunks with ``np.fromstring`` and hand any other
-file to the per-cell reader.  Random text, mostly near-valid, must give
+well-formed files in row chunks with ``np.fromstring`` and read any other
+file cell by cell.  Random text, mostly near-valid, must give
 bit-equal values and equal ids, or the same exception and message, as the
 frozen per-cell readers in ``oracles``.
 """
@@ -242,8 +242,7 @@ def test_well_formed_files_never_reach_the_per_cell_reader(tmp_path, monkeypatch
     def per_cell(*args):
         raise AssertionError("a well-formed file went to the per-cell reader")
 
-    for name in ("_read_features_cells", "_read_assignments_cells", "_read_xy_cells"):
-        monkeypatch.setattr(dataio, name, per_cell)
+    monkeypatch.setattr(dataio, "_csv_rows", per_cell)
     for name, (_, read, _, bits) in READERS.items():
         assert bits(read(paths[name])) == expected[name]
 

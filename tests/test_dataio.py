@@ -24,9 +24,15 @@ from delius.dataio import (
     write_feature_maps,
     write_features,
     write_label_manifest,
+    write_xy,
 )
 from delius.errors import ConfigError, DataError, FormatError
-from oracles import traced_peak
+from oracles import (
+    traced_peak,
+    write_assignments_by_cell,
+    write_features_csv_by_cell,
+    write_xy_by_cell,
+)
 
 
 def _matrix(values, ids=None):
@@ -513,3 +519,56 @@ def test_stratified_subset_property(seed, fraction):
     for i, row in zip(out.ids, out.values):
         assert np.array_equal(row, m.values[index[i]])
     assert len(set(out.ids)) == out.n
+
+
+# ---------------------------------------------------------------------------
+# CSV writers against their frozen per-cell copies
+
+_QUOTED_IDS = ("a,b", 'say "hi"', "\u00e9")
+_EDGE_VALUES = np.array(
+    [
+        [-0.0, 5e-324, 1e308, 0.1, 1.0],
+        [1.0, 0.1, 1e308, 5e-324, -0.0],
+        [0.1, -1e308, 1.0, 0.0, 2.5],
+    ]
+)
+
+
+def _same_bytes(tmp_path, write, frozen):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write(str(ours))
+    frozen(str(theirs))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_write_features_csv_bytes_match_frozen(tmp_path):
+    m = _matrix(_EDGE_VALUES, ids=_QUOTED_IDS)
+    _same_bytes(
+        tmp_path,
+        lambda p: write_features(m, p, fmt="csv"),
+        lambda p: write_features_csv_by_cell(m, p),
+    )
+
+
+@pytest.mark.parametrize("soft", [True, False])
+def test_write_assignments_bytes_match_frozen(tmp_path, soft):
+    q = np.array([[1.0, -0.0, 5e-324], [0.1, 0.9, 0.0], [0.0, 0.1, 0.9]]) if soft else None
+    a = ClusterAssignments(ids=_QUOTED_IDS, hard=np.array([0, 1, 2]), q=q)
+    _same_bytes(
+        tmp_path, lambda p: write_assignments(a, p), lambda p: write_assignments_by_cell(a, p)
+    )
+
+
+# Integer coordinates are written as floats, "1.0" and not "1", as float(v) wrote them.
+_INT_VALUES = np.array([[1, -2, 0], [3, 4, 5], [-7, 8, 9]])
+
+
+@pytest.mark.parametrize("coords", [_EDGE_VALUES, _INT_VALUES], ids=["f64", "int"])
+@pytest.mark.parametrize("pca_style", [False, True])
+def test_write_xy_bytes_match_frozen(tmp_path, coords, pca_style):
+    coords = coords if pca_style else coords[:, :2]
+    _same_bytes(
+        tmp_path,
+        lambda p: write_xy(p, _QUOTED_IDS, coords, pca_style),
+        lambda p: write_xy_by_cell(p, _QUOTED_IDS, coords, pca_style),
+    )

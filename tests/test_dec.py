@@ -237,6 +237,13 @@ def test_kl_grads_shape_check():
         kl_grads(np.zeros((4, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((3, 2)))
 
 
+def test_kl_grads_rejects_points_of_another_width():
+    # The width check soft_assign makes; numpy's broadcast error is no DeliusError.
+    mu = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ShapeError, match="do not match centroids"):
+        kl_grads(np.zeros((4, 3)), mu, np.full((4, 2), 0.5))
+
+
 # The soft assignment and its gradients against a frozen copy of their
 # earlier n x k x m difference-tensor kernel: sharing the k-means
 # distance kernel must keep every bit.

@@ -256,7 +256,7 @@ def _two_locations():
 )
 def test_lloyd_bit_equal_to_frozen_step(points, k, seed, repaired):
     for r in range(4):
-        got = kmeans._lloyd(points, k, Rng(seed + 100 * r), 300, 1e-6)
+        got = kmeans._lloyd(points, k, Rng(seed + 100 * r))
         expected, repairs = _frozen_lloyd(points, k, Rng(seed + 100 * r), 300, 1e-6)
         assert got[0].tobytes() == expected[0].tobytes()
         assert np.array_equal(got[1], expected[1])

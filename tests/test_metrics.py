@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delius.distance import block_rows, sq_distance_matrix
+from delius.distance import sq_distance_blocks
 from delius.errors import ConfigError, DataError, ShapeError
 from delius.metrics import (
     EvalReport,
@@ -185,12 +185,11 @@ def _frozen_silhouette(points, labels):
     return float(scores.mean())
 
 
-# 255, 256 and 257 sit on each side of one full block (block_rows(256) is
-# 256); 1001 takes fifteen full blocks and a short one.
+# 255, 256 and 257 sit on each side of one full block (a block of 256
+# rows of 256 fills 512 KiB); 1001 takes fifteen full blocks and a short one.
 @pytest.mark.parametrize("n", [7, 255, 256, 257, 1001, 1023, 1024, 1025, 3000])
 @pytest.mark.parametrize("d, k", [(1, 2), (10, 5), (64, 37)])
 def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
-    assert (block_rows(n) >= n) == (n <= 256)
     k = min(k, n - 2)
     rng = Rng(1000 * n + d)
     points = rng.normal((n, d))
@@ -199,7 +198,11 @@ def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
     labels = np.arange(n) % k * 3 + 2  # label values need not be 0..k-1
     labels[rng.permutation(n)[: n // 3]] = 2 + 3 * (k - 1)
     labels[-1] = -1  # a singleton cluster
-    assert np.array_equal(sq_distance_matrix(points), _frozen_sq_distance_matrix(points))
+    d2 = np.empty((n, n))
+    blocks = sum(1 for _ in sq_distance_blocks(points, out=d2))
+    assert (blocks == 1) == (n <= 256)
+    assert blocks == 2 or n != 257
+    assert np.array_equal(d2, _frozen_sq_distance_matrix(points))
     assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels).hex()
 
 

@@ -1,5 +1,7 @@
 """PCA and exact t-SNE behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from delius.projection import (
 )
 from delius.rng import Rng
 
-from oracles import numeric_gradient
+from oracles import numeric_gradient, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,58 @@ def test_affinities_favor_near_neighbours():
     p = joint_affinities(points, 1.5)
     assert p[0, 1] > p[0, 2]
     assert p[2, 3] > p[2, 5]
+
+
+def _frozen_joint_affinities(points, perplexity):
+    """The affinities as they were with the whole distance matrix beside a
+    second n x n array of conditional rows."""
+    n = points.shape[0]
+    sq = np.einsum("nd,nd->n", points, points)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    target = math.log(perplexity)
+    cond = np.zeros((n, n))
+    for i in range(n):
+        beta, lo, hi = 1.0, 0.0, math.inf
+        for _ in range(50):
+            logits = -beta * d2[i]
+            logits[i] = -np.inf
+            logits -= logits.max()
+            row = np.exp(logits)
+            row[i] = 0.0
+            row = row / row.sum()
+            nz = row[row > 0.0]
+            gap = float(-(nz * np.log(nz)).sum()) - target
+            if abs(gap) <= 1e-5:
+                break
+            if gap > 0.0:
+                lo = beta
+                beta = beta * 2.0 if math.isinf(hi) else (lo + hi) / 2.0
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
+        cond[i] = row
+    return (cond + cond.T) / (2.0 * n)
+
+
+# 600 rows of 600 make six blocks of 109 rows and a short one.
+@pytest.mark.parametrize("n, perplexity", [(7, 1.5), (257, 10.0), (600, 30.0)])
+def test_affinities_bit_equal_to_frozen(n, perplexity):
+    points = Rng(n + 1).normal((n, 6))
+    points[3] = points[0]  # a duplicate row: an exact zero distance
+    assert np.array_equal(
+        joint_affinities(points, perplexity), _frozen_joint_affinities(points, perplexity)
+    )
+
+
+def test_affinities_hold_one_distance_matrix():
+    # The distances and the conditional rows in two n x n arrays, then
+    # the sum beside them, peaked at 3.01 x 8 n^2.
+    n = 1000
+    points = Rng(n).normal((n, 10))
+    _, peak = traced_peak(lambda: joint_affinities(points, 30.0))
+    assert peak <= 2.2 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} x 8 n^2"
 
 
 def test_lowdim_gradient_matches_finite_differences():
