@@ -30,7 +30,7 @@ class AutoencoderSpec:
     epochs: int = 200
     optimizer: AdamConfig = field(default_factory=AdamConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not self.encoder_dims or any(d < 1 for d in self.encoder_dims):
@@ -39,7 +39,6 @@ class AutoencoderSpec:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        self.optimizer.validate()
 
     def chain(self) -> list[int]:
         enc = list(self.encoder_dims)
@@ -67,7 +66,6 @@ class PretrainReport:
 
 def build(spec: AutoencoderSpec, rng: Rng) -> MlpParams:
     """Initialise the mirrored autoencoder for the given layout."""
-    spec.validate()
     return neural.init_params(spec.chain(), spec.layer_activations(), rng)
 
 
@@ -122,7 +120,6 @@ def pretrain(
     NumericError carrying the parameters from the last completed epoch
     in its ``last_good`` attribute.
     """
-    spec.validate()
     x = features.values
     if x.shape[1] != spec.input_dim:
         raise ConfigError(

@@ -21,6 +21,8 @@ Conventions shared by every subcommand:
 * each run writes a small JSON manifest recording flags, seed, the
   digests of the files its input flags name, package version and wall
   time;
+* a handler builds its configs before it reads any input, and each
+  config checks itself when built, so a bad flag value exits 2 first;
 * every input is read in the ``load`` stage, so an unreadable or
   malformed input is reported as "<command>: load stage failed";
 * artifacts are written under a ``.partial`` suffix and renamed on
@@ -117,32 +119,30 @@ def _write_manifest(path: str, args: argparse.Namespace, started: float):
     _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_dims(text: str):
+def _adam_config(args):
+    from .neural import AdamConfig
+
+    return AdamConfig(lr=args.lr, beta1=args.beta1, beta2=args.beta2, epsilon=args.epsilon)
+
+
+def _autoencoder_spec(args, optimizer):
+    """The pretraining settings; ``_pretrain`` fills in the input width it reads."""
+    from .autoencoder import AutoencoderSpec
     from .errors import ConfigError
 
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        dims = tuple(int(part) for part in args.encoder_dims.split(","))
     except ValueError:
-        raise ConfigError(f"cannot parse layer sizes from {text!r}")
-    if not dims:
-        raise ConfigError("encoder dims must name at least one layer")
-    return dims
-
-
-def _adam_config(args):
-    """The Adam settings, checked before any input is read."""
-    from .neural import AdamConfig
-
-    config = AdamConfig(lr=args.lr, beta1=args.beta1, beta2=args.beta2, epsilon=args.epsilon)
-    config.validate()
-    return config
+        raise ConfigError(f"cannot parse layer sizes from {args.encoder_dims!r}")
+    return AutoencoderSpec(
+        encoder_dims=dims, batch_size=args.batch_size, epochs=args.epochs, optimizer=optimizer
+    )
 
 
 def _dec_config(args):
-    """The joint optimisation's settings, checked before any input is read."""
     from .dec import DecConfig
 
-    config = DecConfig(
+    return DecConfig(
         k=args.k,
         update_interval=args.update_interval,
         delta=args.delta,
@@ -151,8 +151,6 @@ def _dec_config(args):
         max_iterations=args.max_iterations,
         kmeans_restarts=args.restarts,
     )
-    config.validate()
-    return config
 
 
 def _read_features(args, path: str):
@@ -183,19 +181,15 @@ def _encoder_of(ckpt):
 # stages: in-memory inputs, artifacts written, what the next stage needs returned
 
 
-def _pretrain(args, features, optimizer, checkpoint_path: str, loss_path: str):
+def _pretrain(args, spec, features, checkpoint_path: str, loss_path: str):
     """Train the mirrored autoencoder; return the checkpoint written."""
+    from dataclasses import replace
+
     from . import autoencoder
     from .neural import Checkpoint, save_checkpoint
     from .rng import Rng
 
-    spec = autoencoder.AutoencoderSpec(
-        input_dim=features.d,
-        encoder_dims=_parse_dims(args.encoder_dims),
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        optimizer=optimizer,
-    )
+    spec = replace(spec, input_dim=features.d)
     rng = Rng(args.seed)
     params = autoencoder.build(spec, rng)
     params, report = autoencoder.pretrain(params, features, spec, rng)
@@ -299,12 +293,12 @@ def _cmd_gap(args) -> str:
 
 
 def _cmd_pretrain(args) -> str:
-    optimizer = _adam_config(args)
+    spec = _autoencoder_spec(args, _adam_config(args))
     with _stage("load"):
         features = _read_features(args, args.features)
     with _stage("pretrain"):
         loss_path = args.out_loss_curve or args.out_checkpoint + ".loss.csv"
-        _pretrain(args, features, optimizer, args.out_checkpoint, loss_path)
+        _pretrain(args, spec, features, args.out_checkpoint, loss_path)
     return args.out_checkpoint + ".manifest.json"
 
 
@@ -413,7 +407,8 @@ def _cmd_project(args) -> str:
             early_exaggeration=args.early_exaggeration,
             seed=args.seed,
         )
-        tsne.validate()
+    elif args.r < 2:  # a projection file holds at least two coordinates
+        raise ConfigError(f"--r must be at least 2 for a PCA projection, got {args.r}")
     with _stage("load"):
         features = _read_features(args, args.features)
         strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
@@ -439,18 +434,17 @@ def _cmd_plot(args) -> str:
 def _cmd_run(args) -> str:
     from .projection import TsneConfig
 
+    config = _dec_config(args)
+    spec = _autoencoder_spec(args, config.optimizer)
+    tsne = TsneConfig(perplexity=args.perplexity, iterations=args.tsne_iterations, seed=args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
-    config = _dec_config(args)  # fail on bad knobs before any heavy work
-    tsne = TsneConfig(perplexity=args.perplexity, iterations=args.tsne_iterations, seed=args.seed)
-    tsne.validate()
 
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
     with _stage("pretrain"):
-        ckpt = _pretrain(args, features, config.optimizer, out("autoencoder.delc"),
-                         out("pretrain_loss.csv"))
+        ckpt = _pretrain(args, spec, features, out("autoencoder.delc"), out("pretrain_loss.csv"))
     with _stage("cluster"):
         assignments, embedded = _cluster(
             args, config, features, _encoder_of(ckpt), out("assignments.csv"),

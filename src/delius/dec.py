@@ -39,7 +39,7 @@ class DecConfig:
     max_iterations: int = 20000
     kmeans_restarts: int = 20
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k < 2:
             raise ConfigError(f"k must be at least 2 for cluster training, got {self.k}")
         if self.update_interval < 1:
@@ -54,7 +54,6 @@ class DecConfig:
             raise ConfigError(f"max_iterations must be non-negative, got {self.max_iterations}")
         if self.kmeans_restarts < 1:
             raise ConfigError(f"kmeans_restarts must be at least 1, got {self.kmeans_restarts}")
-        self.optimizer.validate()
 
 
 @dataclass
@@ -227,7 +226,6 @@ def dec_fit(
     are averaged over the batch rows so the learning rate does not depend
     on the batch size.
     """
-    config.validate()
     x = features.values
     if x.shape[1] != encoder_params.layers[0].fan_in:
         raise ConfigError(

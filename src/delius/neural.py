@@ -218,7 +218,7 @@ class AdamConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.lr < math.inf:
             raise ConfigError(f"learning rate must be finite and non-negative, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
@@ -244,7 +244,6 @@ class AdamState:
 
 def adam_init(blocks: Sequence[np.ndarray], config: AdamConfig, names=None) -> AdamState:
     """Zero moments for a list of parameter blocks, named for error messages."""
-    config.validate()
     if names is None:
         names = [f"block{i}" for i in range(len(blocks))]
     return AdamState(

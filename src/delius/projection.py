@@ -82,16 +82,7 @@ class TsneConfig:
     early_exaggeration: float = 12.0
     seed: int = 0
 
-    def validate(self, n: int | None = None) -> None:
-        """Check the settings; given the row count, check the perplexity against it."""
-        if n is not None:
-            if n < 5:
-                raise ConfigError(f"t-SNE needs at least 5 rows, got {n}")
-            if not 1.0 < self.perplexity < (n - 1) / 3.0:
-                raise ConfigError(
-                    f"perplexity must lie in (1, {(n - 1) / 3.0:g}) for n = {n}, "
-                    f"got {self.perplexity}"
-                )
+    def __post_init__(self) -> None:
         if not 1.0 < self.perplexity < math.inf:
             raise ConfigError(f"perplexity must be finite and above 1, got {self.perplexity}")
         if self.iterations < 1:
@@ -183,16 +174,21 @@ def _tsne_gradient(p: np.ndarray, y: np.ndarray, scratch: np.ndarray, w: np.ndar
 
 
 def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
-    """Exact t-SNE layout in 2-d."""
+    """Exact t-SNE layout in 2-d; the perplexity must lie below (n - 1) / 3."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ShapeError(f"points must be 2-d, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise DataError("points contain non-finite values")
     n = points.shape[0]
-    config.validate(n)
+    if n < 5:
+        raise ConfigError(f"t-SNE needs at least 5 rows, got {n}")
+    if not config.perplexity < (n - 1) / 3.0:
+        raise ConfigError(
+            f"perplexity must lie in (1, {(n - 1) / 3.0:g}) for n = {n}, got {config.perplexity}"
+        )
     p = joint_affinities(points, config.perplexity)
-    p = p * config.early_exaggeration
+    p *= config.early_exaggeration
     exaggerated = True
     rng = Rng(config.seed)
     y = rng.normal((n, 2), std=1e-4)
@@ -203,7 +199,7 @@ def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(config.iterations):
             if exaggerated and it >= _EXAGGERATION_UNTIL:
-                p = p / config.early_exaggeration
+                p /= config.early_exaggeration
                 exaggerated = False
             momentum = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
             grad = _tsne_gradient(p, y, scratch, w)

@@ -33,14 +33,15 @@ def test_default_activation_pattern():
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        AutoencoderSpec(input_dim=0).validate()
-    with pytest.raises(ConfigError):
-        AutoencoderSpec(encoder_dims=()).validate()
-    with pytest.raises(ConfigError):
-        AutoencoderSpec(epochs=0).validate()
-    with pytest.raises(ConfigError):
-        AutoencoderSpec(batch_size=0).validate()
+    # A spec checks itself when it is built.
+    with pytest.raises(ConfigError, match="input_dim must be positive"):
+        AutoencoderSpec(input_dim=0)
+    with pytest.raises(ConfigError, match="encoder_dims must be positive"):
+        AutoencoderSpec(encoder_dims=())
+    with pytest.raises(ConfigError, match="epochs must be at least 1"):
+        AutoencoderSpec(epochs=0)
+    with pytest.raises(ConfigError, match="batch_size must be at least 1"):
+        AutoencoderSpec(batch_size=0)
 
 
 def test_build_matches_spec_and_is_deterministic():

@@ -518,7 +518,7 @@ def test_run_rejects_bad_k_before_work(tmp_path, workspace, capsys):
     )
     assert code == 2
     assert "k must be at least 2" in capsys.readouterr().err
-    assert not (outdir / "autoencoder.delc").exists()
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +679,12 @@ def test_numeric_blowup_exit_4(tmp_path, capsys):
     ("plot", ["--radius", "inf"], 2, "marker radius must be finite"),
     ("pretrain", ["--epsilon", "inf"], 2, "Adam epsilon must be finite"),
     ("pretrain", ["--lr", "inf"], 2, "learning rate must be finite"),
+    ("pretrain", ["--epochs", "0"], 2, "epochs must be at least 1"),
+    ("pretrain", ["--batch-size", "0"], 2, "batch_size must be at least 1"),
+    ("pretrain", ["--encoder-dims", "4,x"], 2, "cannot parse layer sizes from '4,x'"),
+    ("pretrain", ["--encoder-dims", "0"], 2, "encoder_dims must be positive"),
+    ("run", ["--epochs", "0"], 2, "epochs must be at least 1"),
+    ("run", ["--encoder-dims", "4,x"], 2, "cannot parse layer sizes from '4,x'"),
 ])
 def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code, message):
     bad = tmp_path / "bad.delf"
@@ -693,10 +699,23 @@ def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code
         "plot": ["plot", "--xy", str(bad_xy), "--assignments", workspace["assignments"],
                  "--out", str(out)],
         "pretrain": ["pretrain", "--features", features, "--out-checkpoint", str(out)],
+        "run": ["run", "--features", features, "--k", "3", "--outdir", str(out)],
     }[command]
     assert main(argv + flags) == code
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.delf"]
+
+
+def test_project_pca_needs_two_coordinates_before_load(tmp_path, capsys):
+    # One PCA coordinate would write an "id,c_1" file that read_xy, and so
+    # plot, rejects; the features given are unreadable and would exit 3.
+    bad = tmp_path / "bad.delf"
+    bad.write_bytes(b"XXXX" + bytes(20))
+    argv = ["project", "--features", str(bad), "--method", "pca", "--r", "1",
+            "--out", str(tmp_path / "xy.csv")]
+    assert main(argv) == 2
+    assert "--r must be at least 2 for a PCA projection, got 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.delf"]
 
 
 def test_diverging_tsne_stops_with_only_the_error(tmp_path):
@@ -749,6 +768,35 @@ def test_threads_flag_overrides_env(monkeypatch, tmp_path):
     assert {var: os.environ[var] for var in _THREAD_ENV_VARS} == dict.fromkeys(
         _THREAD_ENV_VARS, "2"
     )
+
+
+def test_run_byte_deterministic_at_two_threads(tmp_path):
+    # The thread cap must precede numpy's import, so each run is its own
+    # process.  At this size the paper encoder's GEMMs round differently
+    # with two BLAS threads than with one; two runs at two must agree.
+    rng = Rng(3)
+    centres = 3.0 * rng.normal((4, 64))
+    x = centres[np.arange(200) % 4] + rng.normal((200, 64))
+    features = str(tmp_path / "features.delf")
+    write_features(FeatureMatrix.from_array(x), features)
+    digests = []
+    for tag in ("first", "second"):
+        outdir = tmp_path / tag
+        argv = ["run", "--features", features, "--k", "4", "--epochs", "3",
+                "--batch-size", "64", "--update-interval", "5", "--max-iterations", "20",
+                "--fraction", "0.2", "--perplexity", "5", "--tsne-iterations", "30",
+                "--threads", "2", "--outdir", str(outdir)]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; from delius.cli import main; sys.exit(main({argv!r}))"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delius.__file__))),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append({p.name: _checksum(p) for p in outdir.iterdir()
+                        if p.name != "manifest.json"})  # the manifest carries wall time
+    assert len(digests[0]) == 9
+    assert digests[0] == digests[1]
 
 
 def test_package_names_resolve_on_first_use():
@@ -895,6 +943,39 @@ def test_command_surface_pinned(command):
     assert callable(parsed.pop("func"))
     assert parsed == dict(expected, command=command)
     assert all(type(parsed[key]) is type(value) for key, value in expected.items())
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # The parser keeps its defaults as literals, so that building it loads
+    # no numpy: each must equal the library default it stands for.
+    from delius.autoencoder import AutoencoderSpec
+    from delius.baselines import DEFAULT_PCA_DIM
+    from delius.dec import DecConfig
+    from delius.kmeans import DEFAULT_RESTARTS
+    from delius.neural import AdamConfig
+    from delius.projection import TsneConfig
+
+    adam, spec, dec, tsne = AdamConfig(), AutoencoderSpec(), DecConfig(k=2), TsneConfig()
+    training = {"lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
+                "epsilon": adam.epsilon}
+    pretraining = {"encoder_dims": ",".join(map(str, spec.encoder_dims)),
+                   "epochs": spec.epochs, "batch_size": spec.batch_size}
+    clustering = {"update_interval": dec.update_interval, "delta": dec.delta,
+                  "max_iterations": dec.max_iterations, "restarts": dec.kmeans_restarts,
+                  "batch_size": dec.batch_size}
+    library = {
+        "pretrain": {**training, **pretraining},
+        "cluster": {**training, **clustering},
+        "run": {**training, **pretraining, **clustering, "perplexity": tsne.perplexity,
+                "tsne_iterations": tsne.iterations},
+        "project": {"perplexity": tsne.perplexity, "iterations": tsne.iterations,
+                    "learning_rate": tsne.learning_rate,
+                    "early_exaggeration": tsne.early_exaggeration},
+        "baseline": {"restarts": DEFAULT_RESTARTS, "r": DEFAULT_PCA_DIM},
+    }
+    for command, expected in library.items():
+        parsed = vars(build_parser().parse_args([command] + SURFACE[command][0]))
+        assert {key: parsed[key] for key in expected} == expected, command
 
 
 def _manifest_cases(workspace, tmp_path):

@@ -305,15 +305,16 @@ def _pretrained_encoder(fm, latent=2, epochs=25, seed=1):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        DecConfig(k=1).validate()
-    with pytest.raises(ConfigError):
-        DecConfig(k=3, delta=0.0).validate()
-    with pytest.raises(ConfigError):
-        DecConfig(k=3, delta=1.5).validate()
-    with pytest.raises(ConfigError):
-        DecConfig(k=3, update_interval=0).validate()
-    DecConfig(k=3, delta=1.0).validate()  # inclusive upper bound
+    # A config checks itself when it is built.
+    with pytest.raises(ConfigError, match="k must be at least 2"):
+        DecConfig(k=1)
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1\]"):
+        DecConfig(k=3, delta=0.0)
+    with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1\]"):
+        DecConfig(k=3, delta=1.5)
+    with pytest.raises(ConfigError, match="update_interval must be at least 1"):
+        DecConfig(k=3, update_interval=0)
+    DecConfig(k=3, delta=1.0)  # inclusive upper bound
 
 
 def test_dec_fit_converges_on_blobs():

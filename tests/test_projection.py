@@ -282,6 +282,15 @@ def test_tsne_bit_equal_to_frozen_loop(n, perplexity):
     assert np.array_equal(tsne_embed(points, config), expected)
 
 
+def test_tsne_holds_three_square_arrays():
+    # The affinities, scaled in place past the exaggeration phase, and the
+    # gradient's two buffers; a scaled copy beside them peaked at 4.02 x 8 n^2.
+    n = 400
+    points = Rng(n).normal((n, 10))
+    _, peak = traced_peak(lambda: tsne_embed(points, TsneConfig(iterations=260)))
+    assert peak <= 3.3 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} x 8 n^2"
+
+
 def test_tsne_validation():
     points = np.random.default_rng(14).normal(size=(10, 3))
     with pytest.raises(ConfigError):
