@@ -334,13 +334,20 @@ def _cmd_baseline(args) -> str:
     from .errors import ConfigError
     from .neural import load_checkpoint
 
+    # kmeans_fit and pca_fit check these too, but only after the load stage.
+    if args.k < 1:
+        raise ConfigError(f"k must be at least 1, got {args.k}")
+    if args.restarts < 1:
+        raise ConfigError(f"restarts must be at least 1, got {args.restarts}")
+    if args.strategy == "pca-kmeans" and args.r < 1:
+        raise ConfigError(f"r must be at least 1, got {args.r}")
+    if args.strategy == "ae-kmeans" and not args.ae_checkpoint:
+        raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
         encoder = None
         if args.strategy == "ae-kmeans":
-            if not args.ae_checkpoint:
-                raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
             encoder = _encoder_of(load_checkpoint(args.ae_checkpoint))
     with _stage("baseline"):
         if encoder is None:
@@ -398,22 +405,22 @@ def _cmd_project(args) -> str:
         raise ConfigError("--labels-manifest and --assignments both choose the strata; give one")
     if given and not args.fraction < 1.0:
         raise ConfigError(f"{given[0]} stratifies a sample and needs --fraction below 1")
-    tsne = None
-    if args.method == "tsne":
-        tsne = TsneConfig(
-            perplexity=args.perplexity,
-            iterations=args.iterations,
-            learning_rate=args.learning_rate,
-            early_exaggeration=args.early_exaggeration,
-            seed=args.seed,
-        )
-    elif args.r < 2:  # a projection file holds at least two coordinates
+    # Built for either method, so no flag given goes unchecked.
+    tsne = TsneConfig(
+        perplexity=args.perplexity,
+        iterations=args.iterations,
+        learning_rate=args.learning_rate,
+        early_exaggeration=args.early_exaggeration,
+        seed=args.seed,
+    )
+    if args.method == "pca" and args.r < 2:  # a projection file holds at least two coordinates
         raise ConfigError(f"--r must be at least 2 for a PCA projection, got {args.r}")
     with _stage("load"):
         features = _read_features(args, args.features)
         strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
     with _stage("project"):
-        _project(features, strata, args.fraction, args.seed, args.out, tsne, pca_dim=args.r)
+        _project(features, strata, args.fraction, args.seed, args.out,
+                 tsne if args.method == "tsne" else None, pca_dim=args.r)
     return args.out + ".manifest.json"
 
 

@@ -12,7 +12,8 @@ import numpy as np
 
 # Bytes per row block of the all-pairs pass.  A block of distances, its
 # pair sums and silhouette's bin index for it, three buffers this size,
-# fit in a 2 MiB L2 cache.
+# fit in a 2 MiB L2 cache.  Blocks never go below 8 rows, so above
+# n = 8192 they outgrow it: silhouette then holds 8 rows of n per buffer.
 BLOCK_BYTES = 1 << 19
 
 
@@ -101,25 +102,39 @@ def sq_distance_blocks(
     yielding ``(start, rows)`` for each block of rows as it is finished,
     while it is still in cache.
 
-    Silhouette, ``joint_affinities`` and ``_tsne_gradient`` use this form.
-    One n x n array is allocated, or ``out`` is filled: the Gram matrix,
-    then, one block of rows at a time, doubled and written back as
+    Each block's Gram rows are doubled and written back as
     ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j``, clipped and with its diagonal
     zeroed: the same float operations in the same order as the
-    whole-matrix broadcast.  ``rows`` is that block of the n x n array.
-    A block is as many rows of n as fit in ``BLOCK_BYTES``, at least one,
-    or as many rows as ``scratch`` has if it is given to hold the sums.
+    whole-matrix broadcast.  With ``out`` (``joint_affinities``,
+    ``_tsne_gradient``) the Gram matrix is one whole ``points @ points.T``
+    written into ``out``, and ``rows`` is a block of it.  Without
+    (silhouette) each block's Gram rows are one GEMM
+    ``points[s:s+m] @ points.T`` into a reusable buffer, so memory is
+    O(block * n) and ``rows`` is valid until the next block.  A block is
+    the largest multiple of 8 rows that fits in ``BLOCK_BYTES``, at least
+    8 and at most n, or as many rows as ``scratch`` has if it is given to
+    hold the sums.  The multiple of 8 keeps every block a GEMM when n is
+    one (a one-row block is a GEMV, which rounds differently), and then
+    the streamed rows equal the whole product's bit for bit; otherwise
+    the last n mod 8 rows and their mirror columns can differ in the
+    last bits.
     """
     n = points.shape[0]
-    out = np.empty((n, n)) if out is None else out
     sq = np.einsum("nd,nd->n", points, points)
-    np.matmul(points, points.T, out=out)
-    pair = np.empty((min(max(1, BLOCK_BYTES // (8 * n)), n), n)) if scratch is None else scratch
-    step = pair.shape[0]
+    if scratch is None:
+        scratch = np.empty((min(max(8, BLOCK_BYTES // (8 * n) // 8 * 8), n), n))
+    step = scratch.shape[0]
+    if out is None:
+        gram = np.empty_like(scratch)
+    else:
+        np.matmul(points, points.T, out=out)
     for start in range(0, n, step):
-        rows = out[start : start + step]
-        m = rows.shape[0]
-        block = pair[:m]
+        m = min(step, n - start)
+        if out is None:
+            rows = np.matmul(points[start : start + m], points.T, out=gram[:m])
+        else:
+            rows = out[start : start + m]
+        block = scratch[:m]
         rows *= 2.0
         np.add(sq[start : start + m, None], sq[None, :], out=block)
         np.subtract(block, rows, out=rows)

@@ -42,8 +42,10 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     A point's distance sum to each cluster adds that cluster's members
     one at a time in index order: one weighted ``bincount`` per block of
     rows, with a bin for every (row, cluster) pair, taken as each block
-    of distances is finished.  The n x n matrix is the one full-size
-    array.
+    of distances is finished.  The blocks are streamed from the points,
+    so memory is O(block * n) beside the n x k sums; no n x n array is
+    made.  When n is not a multiple of 8 the score can differ in its last
+    bits from one computed from the whole ``points @ points.T``.
     """
     points, labels = _check_points_labels(points, labels)
     n = points.shape[0]

@@ -16,11 +16,13 @@ import delius
 from delius import autoencoder
 from delius.cli import _THREAD_ENV_VARS, build_parser, main
 from delius.dataio import (
+    ClusterAssignments,
     FeatureMapBlock,
     FeatureMatrix,
     global_average_pool,
     read_assignments,
     read_features,
+    write_assignments,
     write_feature_maps,
     write_features,
 )
@@ -193,6 +195,30 @@ def test_eval_space_tag_and_single_column(workspace, tmp_path):
     assert report["space_tag"] == "raw1024"
     assert report["acc_style"] is None
     assert report["acc_genre"] is not None
+
+
+def test_eval_memory_bounded_in_rows(tmp_path):
+    # 12,000 points: an n x n distance matrix alone would be 1,152 MB.
+    n = 12_000
+    points, assignments = tmp_path / "points.delf", tmp_path / "assign.csv"
+    ids = tuple(f"p{i}" for i in range(n))
+    write_features(FeatureMatrix.from_array(Rng(12).normal((n, 10)), ids), str(points))
+    write_assignments(ClusterAssignments(ids=ids, hard=np.arange(n) % 5, q=None),
+                      str(assignments))
+    argv = ["eval", "--points", str(points), "--assignments", str(assignments),
+            "--out", str(tmp_path / "report.json")]
+    child = subprocess.Popen(
+        [sys.executable, "-c", f"import sys; from delius.cli import main; sys.exit(main({argv!r}))"],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delius.__file__))),
+        stderr=subprocess.PIPE, text=True,
+    )
+    err = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    child.stderr.close()
+    assert child.returncode == 0, err
+    assert json.loads((tmp_path / "report.json").read_text())["n"] == n
+    assert usage.ru_maxrss < 300 * 1024, f"peak RSS {usage.ru_maxrss / 1024:.0f} MB"
 
 
 def test_baseline_pca(workspace, tmp_path):
@@ -685,6 +711,14 @@ def test_numeric_blowup_exit_4(tmp_path, capsys):
     ("pretrain", ["--encoder-dims", "0"], 2, "encoder_dims must be positive"),
     ("run", ["--epochs", "0"], 2, "epochs must be at least 1"),
     ("run", ["--encoder-dims", "4,x"], 2, "cannot parse layer sizes from '4,x'"),
+    ("project", ["--method", "pca", "--perplexity", "inf", "--iterations", "0"], 2,
+     "perplexity must be finite"),
+    ("project", ["--method", "pca", "--iterations", "0"], 2, "iterations must be at least 1"),
+    ("baseline", ["--k", "0"], 2, "k must be at least 1, got 0"),
+    ("baseline", ["--restarts", "0"], 2, "restarts must be at least 1, got 0"),
+    ("baseline", ["--r", "0"], 2, "r must be at least 1, got 0"),
+    ("baseline", ["--strategy", "ae-kmeans"], 2,
+     "--ae-checkpoint is required for the ae-kmeans strategy"),
 ])
 def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code, message):
     bad = tmp_path / "bad.delf"
@@ -700,6 +734,8 @@ def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code
                  "--out", str(out)],
         "pretrain": ["pretrain", "--features", features, "--out-checkpoint", str(out)],
         "run": ["run", "--features", features, "--k", "3", "--outdir", str(out)],
+        "baseline": ["baseline", "--strategy", "pca-kmeans", "--features", features,
+                     "--k", "3", "--out", str(out)],
     }[command]
     assert main(argv + flags) == code
     assert message in capsys.readouterr().err

@@ -78,6 +78,24 @@ def test_sq_distances_holds_its_result_and_one_difference():
     assert peak <= 1.1 * 8 * n * (k + m), f"peak {peak / (8 * n * (k + m)):.3f} x 8 n (k + m)"
 
 
+# A one-row block is a GEMV, which rounds differently from the GEMM rows
+# of the blocks before it; 848 = 11 x 77 + 1 got one under the old heights.
+@pytest.mark.parametrize("n", [7, 257, 848, 1001, 8193])
+def test_streamed_blocks_are_multiples_of_eight_rows(n):
+    points = Rng(n).normal((n, 2))
+    heights = [rows.shape[0] for _, rows in distance.sq_distance_blocks(points)]
+    assert sum(heights) == n
+    assert all(h % 8 == 0 for h in heights[:-1])
+    assert heights[-1] % 8 == 0 or n % 8 != 0
+    assert len(set(heights[:-1])) <= 1 and heights[-1] <= heights[0]
+
+
+def test_streamed_blocks_never_shrink_below_eight_rows():
+    points = Rng(70_000).normal((70_000, 2))
+    start, rows = next(distance.sq_distance_blocks(points))
+    assert start == 0 and rows.shape == (8, 70_000)
+
+
 def test_distance_module_sits_below_its_callers():
     probe = (
         "import sys\n"

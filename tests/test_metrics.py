@@ -152,19 +152,20 @@ def test_silhouette_rejects_nonfinite_points():
 # the blocked forms must give the same bits, not just close values.
 
 
-def _frozen_sq_distance_matrix(points):
+def _frozen_sq_distance_matrix(points, gram=None):
     sq = np.einsum("nd,nd->n", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    gram = points @ points.T if gram is None else gram
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def _frozen_silhouette(points, labels):
+def _frozen_silhouette(points, labels, gram=None):
     n = points.shape[0]
     clusters = np.unique(labels)
     k = len(clusters)
-    dist = np.sqrt(_frozen_sq_distance_matrix(points))
+    dist = np.sqrt(_frozen_sq_distance_matrix(points, gram))
     sums = np.empty((n, k))
     counts = np.empty(k)
     for ci, c in enumerate(clusters):
@@ -185,9 +186,23 @@ def _frozen_silhouette(points, labels):
     return float(scores.mean())
 
 
+def _frozen_streamed_gram(points):
+    """The Gram matrix as one GEMM per block of rows, in blocks of the largest
+    multiple of 8 rows (at least 8, at most n) that fits 512 KiB."""
+    n = points.shape[0]
+    height = min(max(8, 65536 // n // 8 * 8), n)
+    return np.vstack([points[s : s + height] @ points.T for s in range(0, n, height)])
+
+
 # 255, 256 and 257 sit on each side of one full block (a block of 256
-# rows of 256 fills 512 KiB); 1001 takes fifteen full blocks and a short one.
-@pytest.mark.parametrize("n", [7, 255, 256, 257, 1001, 1023, 1024, 1025, 3000])
+# rows of 256 fills 512 KiB); 1001 takes fifteen full blocks and a short
+# one.  Silhouette streams its Gram rows block by block: when n is a
+# multiple of 8 those bits equal the whole product's, otherwise the last
+# n mod 8 rows may round differently (at 10-5-1025 and 64-37-1023 they
+# move the score), so those n are checked against the streamed form.  A
+# stream with a one-row tail block (GEMV) would miss the whole product's
+# distances at 848 and 1856, which the 8-row heights keep out.
+@pytest.mark.parametrize("n", [7, 255, 256, 257, 848, 1001, 1023, 1024, 1025, 1856, 3000])
 @pytest.mark.parametrize("d, k", [(1, 2), (10, 5), (64, 37)])
 def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
     k = min(k, n - 2)
@@ -203,7 +218,11 @@ def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
     assert (blocks == 1) == (n <= 256)
     assert blocks == 2 or n != 257
     assert np.array_equal(d2, _frozen_sq_distance_matrix(points))
-    assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels).hex()
+    gram = None if n % 8 == 0 else _frozen_streamed_gram(points)
+    streamed = _frozen_sq_distance_matrix(points, gram)
+    for start, rows in sq_distance_blocks(points):
+        assert np.array_equal(rows, streamed[start : start + rows.shape[0]])
+    assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels, gram).hex()
 
 
 @pytest.mark.parametrize("n", [1000, 3000])
@@ -213,6 +232,16 @@ def test_silhouette_holds_one_distance_matrix(n):
     points = Rng(n).normal((n, 10))
     _, peak = traced_peak(lambda: silhouette(points, np.arange(n) % 7))
     assert peak <= 1.2 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} x 8 n^2"
+
+
+def test_silhouette_holds_row_blocks_only():
+    # Blocks of 16 rows: a Gram block, a pair block and a bin index of
+    # 16 x n each beside the n x k sums took 0.019 x 8 n^2; the whole
+    # Gram matrix took 1.0 x.
+    n = 3000
+    points = Rng(n).normal((n, 10))
+    _, peak = traced_peak(lambda: silhouette(points, np.arange(n) % 7))
+    assert peak <= 0.1 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} x 8 n^2"
 
 
 # ---------------------------------------------------------------------------
