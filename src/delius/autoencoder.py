@@ -4,7 +4,8 @@ The network mirrors the encoder sizes around the bottleneck, so an
 encoder chain d -> 500 -> 500 -> 2000 -> 10 yields the full chain
 d-500-500-2000-10-2000-500-500-d.  Hidden layers use relu; the
 bottleneck layer and the final reconstruction layer are linear.  After
-pretraining only the encoder half is kept for clustering.
+pretraining only the encoder half is kept for clustering.  Pretraining
+stops at the first non-finite batch loss, before that step moves anything.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ def encode(params: MlpParams, features) -> np.ndarray:
 
     Pass ``encoder_part(params)`` to embed with a full autoencoder: the
     layer sizes alone cannot tell a mirrored autoencoder from an encoder
-    whose sizes happen to read the same both ways (8-4-8).
+    whose sizes happen to read the same both ways (8-4-8).  It holds one
+    layer's input and output at a time, not forward's activation list.
     """
-    x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
-    _, out = neural.forward(params, x)
+    x = features.values if isinstance(features, FeatureMatrix) else features
+    for out in neural.layer_outputs(params, x):
+        pass
     return out
 
 
@@ -116,9 +119,9 @@ def pretrain(
     Runs epochs * ceil(n / batch_size) optimizer steps, reshuffling the
     rows each epoch and using the final short batch.  The reported loss
     per epoch is the mean of that epoch's batch losses.  Parameters are
-    updated in place and also returned.  A non-finite loss aborts with a
-    NumericError carrying the parameters from the last completed epoch
-    in its ``last_good`` attribute.
+    updated in place and also returned.  A non-finite batch loss raises
+    a NumericError naming its epoch before that step moves anything, so
+    ``params`` hold the parameters after the last finite-loss step.
     """
     x = features.values
     if x.shape[1] != spec.input_dim:
@@ -129,20 +132,12 @@ def pretrain(
     grads = [np.empty(block.shape) for block in params.blocks()]
     batches = neural.minibatches(features.n, spec.batch_size, rng)
     losses: list[float] = []
-    last_good = params.copy()
     for epoch in range(spec.epochs):
         batch_losses = []
         for idx in itertools.islice(batches, math.ceil(features.n / spec.batch_size)):
             loss = _reconstruction_step(params, x[idx], grads, state)
             if not np.isfinite(loss):
-                err = NumericError(
-                    f"reconstruction loss became non-finite in epoch {epoch}"
-                )
-                err.last_good = last_good
-                raise err
+                raise NumericError(f"reconstruction loss became non-finite in epoch {epoch}")
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))
-        if epoch + 1 < spec.epochs:
-            for kept, block in zip(last_good.blocks(), params.blocks()):
-                np.copyto(kept, block)
     return params, PretrainReport(losses=losses, final_loss=losses[-1])

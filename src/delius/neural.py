@@ -130,27 +130,29 @@ def init_params(layer_dims: Sequence[int], activations: Sequence[str], rng: Rng)
     return MlpParams(layers=layers)
 
 
-def forward(params: MlpParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run the chain on a batch; returns (per-layer outputs, final output).
-
-    The returned list starts with the input batch, so entry i is what
-    layer i consumed and the last entry is the network output.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"input batch must be 2-d, got shape {x.shape}")
-    if x.shape[1] != params.layers[0].fan_in:
+def layer_outputs(params: MlpParams, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Check a batch against the chain, then yield it and each layer's output."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"input batch must be 2-d, got shape {a.shape}")
+    if a.shape[1] != params.layers[0].fan_in:
         raise ShapeError(
-            f"input width {x.shape[1]} does not match network fan-in "
+            f"input width {a.shape[1]} does not match network fan-in "
             f"{params.layers[0].fan_in}"
         )
-    acts = [x]
-    a = x
+    yield a
     for layer in params.layers:
-        z = a @ layer.w.T + layer.b
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        acts.append(a)
-    return acts, a
+        a = a @ layer.w.T
+        a += layer.b
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        yield a
+
+
+def forward(params: MlpParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Run the chain on a batch; returns ([input, each layer's output], output)."""
+    acts = list(layer_outputs(params, x))
+    return acts, acts[-1]
 
 
 def backward(

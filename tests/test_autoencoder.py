@@ -8,7 +8,7 @@ import pytest
 from delius import autoencoder, neural
 from delius.autoencoder import AutoencoderSpec, build, encode, encoder_part, pretrain
 from delius.dataio import FeatureMatrix
-from delius.errors import ConfigError, NumericError
+from delius.errors import ConfigError, NumericError, ShapeError
 from delius.neural import AdamConfig
 from delius.rng import Rng
 
@@ -86,6 +86,69 @@ def test_encode_palindromic_encoder_runs_whole_chain():
     assert encoder.dims() == [4, 3, 4]
     x = Rng(4).normal((6, 4))
     assert np.array_equal(encode(encoder, x), neural.forward(encoder, x)[1])
+
+
+def _frozen_forward_output(params, x):
+    # The forward pass as written before layers added their bias and
+    # applied relu in place.
+    a = np.asarray(x, dtype=np.float64)
+    for layer in params.layers:
+        z = a @ layer.w.T + layer.b
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return a
+
+
+def _encoder_with_biases(dims, seed):
+    # Built biases are zero; random ones make the bias add count.
+    acts = ["relu"] * (len(dims) - 2) + ["identity"]
+    params, rng = neural.init_params(dims, acts, Rng(seed)), Rng(seed + 1)
+    for layer in params.layers:
+        layer.b[:] = rng.normal(layer.b.shape, std=0.01)
+    return params
+
+
+@pytest.mark.parametrize("dims, n", [([1024, 500, 500, 2000, 10], 300), ([7, 5, 3], 1001)])
+def test_encode_bit_equal_to_frozen_forward(dims, n):
+    params = _encoder_with_biases(dims, 11)
+    x = Rng(12).normal((n, dims[0]))
+    frozen = _frozen_forward_output(params, x)
+    assert encode(params, x).tobytes() == frozen.tobytes()
+    assert encode(params, FeatureMatrix.from_array(x)).tobytes() == frozen.tobytes()
+    assert neural.forward(params, x)[1].tobytes() == frozen.tobytes()
+
+
+def test_encode_rejects_what_forward_rejects():
+    params = _encoder_with_biases([6, 4, 2], 3)
+    with pytest.raises(ShapeError, match="input width 5 does not match network fan-in 6"):
+        encode(params, np.zeros((3, 5)))
+    with pytest.raises(ShapeError, match="input batch must be 2-d"):
+        encode(params, np.zeros(6))
+
+
+def test_encode_holds_two_layers_at_a_time():
+    # encode holds one layer's input and output, so its traced peak stays
+    # near 8 n (widest adjacent pair of widths) bytes: 1.01 times that
+    # here.  Running forward, which keeps every layer's output plus
+    # temporaries for the bias add and relu, reaches 2.5.
+    dims, n = [64, 256, 256, 256, 10], 2000
+    params = _encoder_with_biases(dims, 5)
+    x = Rng(6).normal((n, dims[0]))
+    bound = 8 * n * max(a + b for a, b in zip(dims[1:], dims[2:]))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        encode(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before < 1.05 * bound, (
+        f"traced peak {peak - before} B is {(peak - before) / bound:.2f} x the "
+        f"{bound} B of the widest two adjacent layers"
+    )
 
 
 def _blob_features(n=96, d=12, seed=5):
@@ -187,64 +250,76 @@ def test_pretrain_bit_equal_to_frozen_loop():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_pretrain_nonfinite_aborts_with_last_good():
-    # Values around 1e200 overflow the squared error immediately.
+def test_pretrain_nonfinite_raises_before_any_step():
+    # Values around 1e200 overflow the squared error of the first batch,
+    # so no step runs and the parameters stay as built.
     x = np.full((8, 4), 1e200)
     fm = FeatureMatrix.from_array(x)
     spec = AutoencoderSpec(input_dim=4, encoder_dims=(2,), batch_size=8, epochs=3)
     params = build(spec, Rng(0))
     initial = params.copy()
-    with pytest.raises(NumericError) as excinfo:
+    with pytest.raises(NumericError, match="in epoch 0"):
         pretrain(params, fm, spec, Rng(0))
-    last_good = excinfo.value.last_good
-    for la, lb in zip(last_good.layers, initial.layers):
-        assert np.array_equal(la.w, lb.w)
+    for new, old in zip(params.blocks(), initial.blocks()):
+        assert new.tobytes() == old.tobytes()
 
 
+# With an epsilon far above every gradient, Adam is gradient descent with
+# step lr / epsilon = 2, under which this linear network diverges
+# geometrically: the loss overflows a few epochs in, not at once.  The
+# first case overflows on the first batch of epoch 2, the second on the
+# last batch of epoch 2, where the last finite-loss step and the end of
+# the last completed epoch are three steps apart.
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_pretrain_last_good_is_the_last_completed_epoch():
-    # With an epsilon far above every gradient, Adam is gradient descent
-    # with step lr / epsilon = 2, under which this linear network diverges
-    # geometrically: the loss overflows a few epochs in, not at once.
+@pytest.mark.parametrize(
+    "init_seed, shuffle_seed, failed_at", [(1, 2, (2, 0)), (2, 3, (2, 3))],
+    ids=["first-batch", "later-batch"],
+)
+def test_pretrain_nonfinite_leaves_params_at_last_finite_step(
+    init_seed, shuffle_seed, failed_at
+):
     spec = AutoencoderSpec(
         input_dim=6, encoder_dims=(3,), batch_size=10, epochs=30,
         optimizer=AdamConfig(lr=2e250, epsilon=1e250),
     )
     fm = _blob_features(n=40, d=6)  # four batches per epoch
+    params = build(spec, Rng(init_seed))
     with pytest.raises(NumericError) as excinfo:
-        pretrain(build(spec, Rng(1)), fm, spec, Rng(2))
+        pretrain(params, fm, spec, Rng(shuffle_seed))
 
-    # The loop as written when every epoch end took a fresh copy.
+    # A frozen copy of the training loop that halts at the first
+    # non-finite loss and also reports where its epoch started.
     def frozen_loop():
-        params, rng = build(spec, Rng(1)), Rng(2)
+        params, rng = build(spec, Rng(init_seed)), Rng(shuffle_seed)
         state = neural.adam_init(params.blocks(), spec.optimizer)
-        last_good = params.copy()
         for epoch in range(spec.epochs):
+            epoch_start = params.copy()
             order = rng.permutation(fm.n)
-            for start in range(0, fm.n, spec.batch_size):
+            for batch, start in enumerate(range(0, fm.n, spec.batch_size)):
                 xb = fm.values[order[start : start + spec.batch_size]]
                 acts, recon = neural.forward(params, xb)
                 if not np.isfinite(neural.mse_loss(recon, xb)):
-                    return epoch, last_good
+                    return (epoch, batch), params, epoch_start
                 grads = neural.backward(params, acts, neural.mse_grad(recon, xb))
                 neural.adam_step_blocks(params.blocks(), grads, state)
-            last_good = params.copy()
         raise AssertionError("the frozen loop never diverged")
 
-    failed_epoch, last_good = frozen_loop()
-    assert failed_epoch >= 1
-    assert f"in epoch {failed_epoch}" in str(excinfo.value)
-    for new, old in zip(excinfo.value.last_good.blocks(), last_good.blocks()):
+    position, last_step, epoch_start = frozen_loop()
+    assert position == failed_at
+    assert f"in epoch {position[0]}" in str(excinfo.value)
+    for new, old in zip(params.blocks(), last_step.blocks()):
         assert new.tobytes() == old.tobytes()
+    moved = [a.tobytes() != b.tobytes() for a, b in zip(last_step.blocks(), epoch_start.blocks())]
+    assert any(moved) == (position[1] > 0)
 
 
 def test_pretrain_traced_peak_bounded_by_parameter_bytes():
     # The parameters (1.7 MB) outweigh a batch's activations (0.3 MB), so
     # the peak shows what training holds per parameter.  The two Adam
-    # moments, the gradients and last_good are four parameter-sized
-    # arrays; all the rest (activations, Adam's scratch buffers) must stay
-    # under one more.  Keeping two steps' gradients alive, a fresh copy for
-    # last_good and whole-block Adam temporaries together reach 5.6.
+    # moments and the gradients are three parameter-sized arrays and
+    # nothing else is parameter-sized: all the rest (activations, Adam's
+    # scratch buffers) must stay under one more.  A snapshot of the
+    # parameters kept for a failed run reaches 4.7.
     spec = AutoencoderSpec(input_dim=256, encoder_dims=(400, 10), batch_size=32, epochs=3)
     fm = FeatureMatrix.from_array(Rng(1).normal((256, 256)))
     params = build(spec, Rng(2))
@@ -260,7 +335,7 @@ def test_pretrain_traced_peak_bounded_by_parameter_bytes():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak - before < 5 * param_bytes, (
+    assert peak - before < 4 * param_bytes, (
         f"traced peak {peak - before} B is {(peak - before) / param_bytes:.2f} x the "
         f"{param_bytes} B of parameters"
     )

@@ -691,6 +691,7 @@ def test_numeric_blowup_exit_4(tmp_path, capsys):
     )
     assert code == 4
     assert "pretrain stage failed" in capsys.readouterr().err
+    assert not (tmp_path / "x.delc").exists()
 
 
 # A value that no run can use exits 2 before any input is read: the
