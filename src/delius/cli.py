@@ -78,12 +78,21 @@ _stage = _Stage()
 
 @contextlib.contextmanager
 def _artifact(path: str):
-    """Yield a temporary target; promote it (and any id sidecar) on success."""
+    """Yield a temporary target; promote it (and any id sidecar) on success.
+
+    A write the system refuses (a missing directory, a full disk) is a
+    configuration error naming ``path``.
+    """
+    from .errors import ConfigError
+
     partial = path + ".partial"
-    yield partial
-    if os.path.exists(partial + ".ids"):
-        os.replace(partial + ".ids", path + ".ids")
-    os.replace(partial, path)
+    try:
+        yield partial
+        if os.path.exists(partial + ".ids"):
+            os.replace(partial + ".ids", path + ".ids")
+        os.replace(partial, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _sha256(path: str) -> str:
@@ -235,18 +244,13 @@ def _cluster(args, config, features, encoder, assignments_path, checkpoint_path,
     return assignments, embedded
 
 
-def _evaluate(points, assignments, manifest, column: str, space_tag: str, out: str):
-    from .dataio import cluster_labels, truth_labels
+def _evaluate(points, labels, manifest, column: str, space_tag: str, out: str):
+    """Score ``labels`` (one per row of ``points``) and write the report."""
+    from .dataio import truth_labels
     from .metrics import evaluate
 
     style, genre = truth_labels(manifest, points, column)
-    report = evaluate(
-        points.values,
-        cluster_labels(points.ids, assignments),
-        space_tag,
-        style_truth=style,
-        genre_truth=genre,
-    )
+    report = evaluate(points.values, labels, space_tag, style_truth=style, genre_truth=genre)
     _write_text(out, report.to_json())
 
 
@@ -317,20 +321,21 @@ def _cmd_cluster(args) -> str:
 
 
 def _cmd_eval(args) -> str:
-    from .dataio import read_assignments
+    from .dataio import cluster_labels, read_assignments
 
     with _stage("load"):
         points = _read_features(args, args.points)
         assignments = read_assignments(args.assignments)
         manifest = _read_labels(args)
     with _stage("eval"):
-        _evaluate(points, assignments, manifest, args.label_column, args.space_tag, args.out)
+        labels = cluster_labels(points.ids, assignments)
+        _evaluate(points, labels, manifest, args.label_column, args.space_tag, args.out)
     return args.out + ".manifest.json"
 
 
 def _cmd_baseline(args) -> str:
     from .baselines import run_ae_kmeans, run_pca_kmeans
-    from .dataio import ClusterAssignments, write_assignments
+    from .dataio import ClusterAssignments, FeatureMatrix, write_assignments
     from .errors import ConfigError
     from .neural import load_checkpoint
 
@@ -351,21 +356,20 @@ def _cmd_baseline(args) -> str:
             encoder = _encoder_of(load_checkpoint(args.ae_checkpoint))
     with _stage("baseline"):
         if encoder is None:
-            run = run_pca_kmeans(
-                features, args.k, r=args.r, seed=args.seed, manifest=manifest,
-                restarts=args.restarts,
+            points, labels = run_pca_kmeans(
+                features, args.k, r=args.r, seed=args.seed, restarts=args.restarts
             )
+            space_tag = f"pca{args.r}"
         else:
-            run = run_ae_kmeans(
-                features, encoder, args.k, seed=args.seed, manifest=manifest,
-                restarts=args.restarts,
+            points, labels = run_ae_kmeans(
+                features, encoder, args.k, seed=args.seed, restarts=args.restarts
             )
-        _write_text(args.out, run.report.to_json())
+            space_tag = "embedded"
+        _evaluate(FeatureMatrix(points, features.ids), labels, manifest, "both", space_tag,
+                  args.out)
         if args.out_assignments:
             with _artifact(args.out_assignments) as target:
-                write_assignments(
-                    ClusterAssignments(ids=run.ids, hard=run.labels, q=None), target
-                )
+                write_assignments(ClusterAssignments(ids=features.ids, hard=labels), target)
     return args.out + ".manifest.json"
 
 
@@ -439,12 +443,16 @@ def _cmd_plot(args) -> str:
 
 
 def _cmd_run(args) -> str:
+    from .errors import ConfigError
     from .projection import TsneConfig
 
     config = _dec_config(args)
     spec = _autoencoder_spec(args, config.optimizer)
     tsne = TsneConfig(perplexity=args.perplexity, iterations=args.tsne_iterations, seed=args.seed)
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.outdir}: {exc.strerror or exc}")
     out = lambda name: os.path.join(args.outdir, name)
 
     with _stage("load"):
@@ -458,7 +466,8 @@ def _cmd_run(args) -> str:
             out("model.delc"), out("history.csv"), out("embedded.delf"),
         )
     with _stage("eval"):
-        _evaluate(embedded, assignments, manifest, "both", "embedded", out("report.json"))
+        # _cluster keys the assignments by the embedded rows' ids, in row order
+        _evaluate(embedded, assignments.hard, manifest, "both", "embedded", out("report.json"))
     with _stage("project"):
         strata = _cluster_strata(embedded.ids, assignments)
         ids, coords = _project(embedded, strata, args.fraction, args.seed, out("xy.csv"), tsne)

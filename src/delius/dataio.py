@@ -264,6 +264,8 @@ def _read_id_sidecar(path: str, n: int) -> tuple[str, ...] | None:
             data = fh.read()
     except FileNotFoundError:
         return None
+    except OSError as exc:
+        raise ConfigError(f"cannot read id sidecar {sidecar}: {exc.strerror}")
     lines = _utf8(data, sidecar).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -101,14 +101,6 @@ class MlpParams:
     def n_params(self) -> int:
         return sum(block.size for block in self.blocks())
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            layers=[
-                DenseLayer(w=layer.w.copy(), b=layer.b.copy(), activation=layer.activation)
-                for layer in self.layers
-            ]
-        )
-
 
 def init_params(layer_dims: Sequence[int], activations: Sequence[str], rng: Rng) -> MlpParams:
     """Fresh parameters for the given dimension chain."""

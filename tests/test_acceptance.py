@@ -5,6 +5,7 @@ tolerance pinned.  Each test prints one verdict line past pytest's
 capture so a plain run shows the measured values next to PASS or FAIL.
 """
 
+import copy
 import hashlib
 import json
 import time
@@ -261,7 +262,7 @@ def test_kl_monotonic_at_refresh_boundaries_on_manifold(manifold_seed0, capsys):
     # overlapping manifold keeps refreshing until its iteration cap.
     fm, enc = manifold_seed0
     cfg = DecConfig(k=8, update_interval=40, max_iterations=600)
-    result = dec_fit(fm, enc.copy(), cfg, Rng(0))
+    result = dec_fit(fm, copy.deepcopy(enc), cfg, Rng(0))
     values = [rec.kl_full for rec in result.history.records]
     pairs = list(zip(values, values[1:]))
     assert len(pairs) >= 10
@@ -327,7 +328,7 @@ def test_comparative_embedding_quality(manifold_seed0, capsys):
     scores = []
     for seed in range(5):
         fm, enc = manifold_seed0 if seed == 0 else _pretrained_manifold(seed)
-        enc = enc.copy()  # dec_fit updates the encoder in place
+        enc = copy.deepcopy(enc)  # dec_fit updates the encoder in place
         z0 = encode(enc, fm)
         km = kmeans_fit(z0, 8, Rng(seed), restarts=20)
         sc_ae = silhouette(z0, km.labels)

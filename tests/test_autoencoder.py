@@ -1,5 +1,6 @@
 """Mirrored autoencoder construction and pretraining."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -257,7 +258,7 @@ def test_pretrain_nonfinite_raises_before_any_step():
     fm = FeatureMatrix.from_array(x)
     spec = AutoencoderSpec(input_dim=4, encoder_dims=(2,), batch_size=8, epochs=3)
     params = build(spec, Rng(0))
-    initial = params.copy()
+    initial = copy.deepcopy(params)
     with pytest.raises(NumericError, match="in epoch 0"):
         pretrain(params, fm, spec, Rng(0))
     for new, old in zip(params.blocks(), initial.blocks()):
@@ -293,7 +294,7 @@ def test_pretrain_nonfinite_leaves_params_at_last_finite_step(
         params, rng = build(spec, Rng(init_seed)), Rng(shuffle_seed)
         state = neural.adam_init(params.blocks(), spec.optimizer)
         for epoch in range(spec.epochs):
-            epoch_start = params.copy()
+            epoch_start = copy.deepcopy(params)
             order = rng.permutation(fm.n)
             for batch, start in enumerate(range(0, fm.n, spec.batch_size)):
                 xb = fm.values[order[start : start + spec.batch_size]]

@@ -14,6 +14,7 @@ import pytest
 
 import delius
 from delius import autoencoder
+from delius.baselines import run_ae_kmeans, run_pca_kmeans
 from delius.cli import _THREAD_ENV_VARS, build_parser, main
 from delius.dataio import (
     ClusterAssignments,
@@ -22,11 +23,13 @@ from delius.dataio import (
     global_average_pool,
     read_assignments,
     read_features,
+    read_label_manifest,
+    truth_labels,
     write_assignments,
     write_feature_maps,
     write_features,
 )
-from delius.metrics import clustering_accuracy
+from delius.metrics import clustering_accuracy, evaluate
 from delius.neural import load_checkpoint
 from delius.rng import Rng
 
@@ -250,6 +253,39 @@ def test_baseline_ae(workspace, tmp_path):
     assert code == 0
     report = json.loads(open(out).read())
     assert report["space_tag"] == "embedded"
+
+
+@pytest.mark.parametrize("strategy", ["pca-kmeans", "ae-kmeans"])
+def test_baseline_report_is_the_eval_stage_on_its_points(workspace, tmp_path, strategy):
+    fm = workspace["fm"]
+    if strategy == "pca-kmeans":
+        flags, tag = ["--r", "3"], "pca3"
+        points, labels = run_pca_kmeans(fm, K, r=3, seed=7)
+    else:
+        flags, tag = ["--ae-checkpoint", workspace["ae"]], "embedded"
+        encoder = autoencoder.encoder_part(load_checkpoint(workspace["ae"]).params)
+        points, labels = run_ae_kmeans(fm, encoder, K, seed=7)
+    out = tmp_path / "baseline.json"
+    code = main(
+        ["baseline", "--strategy", strategy, "--features", workspace["features"],
+         "--k", str(K), "--labels-manifest", workspace["manifest"], "--out", str(out),
+         "--seed", "7"] + flags
+    )
+    assert code == 0
+    style, genre = truth_labels(read_label_manifest(workspace["manifest"]), fm)
+    expected = evaluate(points, labels, tag, style_truth=style, genre_truth=genre).to_json()
+    assert out.read_text() == expected
+    # ... which is what ``eval`` writes for those points and labels
+    points_path, assign_path = str(tmp_path / "points.delf"), str(tmp_path / "assign.csv")
+    write_features(FeatureMatrix.from_array(points, fm.ids), points_path)
+    write_assignments(ClusterAssignments(ids=fm.ids, hard=labels), assign_path)
+    code = main(
+        ["eval", "--points", points_path, "--assignments", assign_path,
+         "--labels-manifest", workspace["manifest"], "--space-tag", tag,
+         "--out", str(tmp_path / "eval.json")]
+    )
+    assert code == 0
+    assert (tmp_path / "eval.json").read_text() == expected
 
 
 def test_baseline_ae_requires_checkpoint(workspace, tmp_path, capsys):
@@ -774,6 +810,42 @@ def test_diverging_tsne_stops_with_only_the_error(tmp_path):
     assert not (tmp_path / "xy.csv").exists()
 
 
+def _delius_process(argv):
+    return subprocess.run(
+        [sys.executable, "-m", "delius.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delius.__file__))),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("command", ["project", "run"])
+def test_unwritable_output_exit_2(tmp_path, command):
+    path = tmp_path / "rows.delf"
+    write_features(FeatureMatrix.from_array(Rng(33).normal((20, 4))), str(path))
+    if command == "project":  # the stage runs, then its output's directory is missing
+        out = str(tmp_path / "missing" / "xy.csv")
+        argv = ["project", "--features", str(path), "--method", "pca", "--out", out]
+    else:  # an output directory below a regular file
+        out = str(path / "out")
+        argv = ["run", "--features", str(path), "--k", "2", "--outdir", out]
+    result = _delius_process(argv)
+    assert result.returncode == 2, result.stderr
+    assert f"cannot write {out}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_unreadable_id_sidecar_exit_2(tmp_path):
+    path = tmp_path / "rows.delf"
+    write_features(FeatureMatrix.from_array(Rng(34).normal((20, 4))), str(path))
+    (tmp_path / "rows.delf.ids").mkdir()
+    result = _delius_process(["project", "--features", str(path), "--method", "pca",
+                              "--out", str(tmp_path / "xy.csv")])
+    assert result.returncode == 2, result.stderr
+    assert "load stage failed" in result.stderr and "rows.delf.ids" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "xy.csv").exists()
+
+
 def test_unknown_flag_exit_2(capsys):
     assert main(["pretrain", "--bogus"]) == 2
 
@@ -874,6 +946,8 @@ DELETED = {
     "autoencoder.AutoencoderSpec": ("latent_dim",),
     "autoencoder.PretrainReport": ("wall_time_s", "seed"),
     "kmeans.KmeansResult": ("max_iters", "tol"),
+    "baselines": ("BaselineRun", "_cluster_and_score", "EMBEDDED_SPACE_TAG"),
+    "neural.MlpParams": ("copy",),
 }
 
 

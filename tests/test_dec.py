@@ -1,5 +1,7 @@
 """Soft assignment, target sharpening, KL gradients, and the joint loop."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,7 +350,7 @@ def test_dec_fit_initial_labels_match_kmeans_protocol():
     enc = _pretrained_encoder(fm, seed=4)
     cfg = DecConfig(k=3, update_interval=50, batch_size=32, max_iterations=100)
     z0 = autoencoder.encode(enc, fm)
-    result = dec_fit(fm, enc.copy() if hasattr(enc, "copy") else enc, cfg, Rng(77))
+    result = dec_fit(fm, copy.deepcopy(enc), cfg, Rng(77))
     km = kmeans.kmeans_fit(z0, 3, Rng(77), restarts=cfg.kmeans_restarts)
     assert np.array_equal(result.history.initial_labels, km.labels)
 
@@ -527,9 +529,9 @@ def test_dec_fit_bit_equal_to_frozen_loop(case, overrides):
     enc = _pretrained_encoder(fm, seed=31, epochs=10)
     cfg = DecConfig(k=3, **{"batch_size": 32, **overrides})
     rng_new, rng_old = Rng(32), Rng(32)
-    result = dec_fit(fm, enc.copy(), cfg, rng_new)
+    result = dec_fit(fm, copy.deepcopy(enc), cfg, rng_new)
     enc_old, mu_old, records, out, iterations, labels = _frozen_dec_fit(
-        fm, enc.copy(), cfg, rng_old
+        fm, copy.deepcopy(enc), cfg, rng_old
     )
     if case == "converged at a scheduled refresh":
         assert out["converged"]
