@@ -23,6 +23,9 @@ Conventions shared by every subcommand:
   time;
 * a handler builds its configs before it reads any input, and each
   config checks itself when built, so a bad flag value exits 2 first;
+* main() checks every output flag before the handler runs: a file in a
+  missing directory, a path that is a directory, or two flags naming one
+  file exits 2 before any work;
 * every input is read in the ``load`` stage, so an unreadable or
   malformed input is reported as "<command>: load stage failed";
 * artifacts are written under a ``.partial`` suffix and renamed on
@@ -58,6 +61,38 @@ _THREAD_ENV_VARS = (
 _INPUT_FLAGS = (
     "maps", "features", "points", "ae_checkpoint", "assignments", "labels_manifest", "xy",
 )
+
+
+# The flags that name output files; main() checks each one a command has.
+_OUTPUT_FLAGS = (
+    "out", "out_checkpoint", "out_loss_curve", "out_assignments", "out_history", "out_embedded",
+)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before any input is read, an output flag whose file cannot be made.
+
+    The file's directory must exist and be a directory, and the path must
+    not be a directory itself.  Two flags naming one file are refused too,
+    since the second write would replace the first artifact.  What only
+    the write can show, such as a full disk, ``_artifact`` reports.
+    """
+    from .errors import ConfigError
+
+    named = {}
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise ConfigError(f"{flag}: cannot write {path}: {directory} is not an existing directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag}: cannot write {path}: it is a directory")
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"{other} and {flag} both name {path}; give each its own file")
 
 
 class _Stage:
@@ -669,6 +704,7 @@ def main(argv=None) -> int:
         threads = _resolve_threads(args)
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(threads)
+        _check_outputs(args)
         started = time.monotonic()
         _write_manifest(args.func(args), args, started)
     except DeliusError as exc:

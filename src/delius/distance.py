@@ -1,18 +1,21 @@
 """Squared Euclidean distances: the one kernel every clustering step shares.
 
-Two forms, point-to-centre and all-pairs, each documenting the contract
-its callers rely on, and the Lloyd assignment that screens for the
-first.  This module imports nothing else from the package, so any
-module may use it.
+Three forms, each documenting the contract its callers rely on:
+point-to-centre, with the Lloyd assignment that screens for it;
+all-pairs, streamed in row blocks; and the all-pairs form shifted by
+one, ``1 + d^2`` from a single GEMM per block, for the t-SNE kernel.
+This module imports nothing else from the package, so any module may
+use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Bytes per row block of the all-pairs pass.  A block of distances, its
-# pair sums and silhouette's bin index for it, three buffers this size,
-# fit in a 2 MiB L2 cache.  Blocks never go below 8 rows, so above
+# Bytes per row block of the all-pairs passes.  Three buffers this size
+# fit in a 2 MiB L2 cache: a block of distances, its pair sums and
+# silhouette's bin index for it, or t-SNE's kernel block and its product
+# with the affinities.  Blocks never go below 8 rows, so above
 # n = 8192 they outgrow it: silhouette then holds 8 rows of n per buffer.
 BLOCK_BYTES = 1 << 19
 
@@ -95,9 +98,17 @@ def _screen(points, centres, point_sq):
     return index.astype(np.int64), (count != 1.0) | ~(radius < _SCREEN_RADIUS_LIMIT)
 
 
-def sq_distance_blocks(
-    points: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-):
+def block_rows(n: int) -> int:
+    """Rows per block of an all-pairs pass: the largest multiple of 8 whose
+    rows of n doubles fit in ``BLOCK_BYTES``, at least 8 and at most n.
+
+    The multiple of 8 keeps every block a GEMM when n is one (a one-row
+    block is a GEMV, which rounds differently).
+    """
+    return min(max(8, BLOCK_BYTES // (8 * n) // 8 * 8), n)
+
+
+def sq_distance_blocks(points: np.ndarray, out: np.ndarray | None = None):
     """All pairwise squared Euclidean distances, clipped at 0, zero diagonal,
     yielding ``(start, rows)`` for each block of rows as it is finished,
     while it is still in cache.
@@ -105,25 +116,20 @@ def sq_distance_blocks(
     Each block's Gram rows are doubled and written back as
     ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j``, clipped and with its diagonal
     zeroed: the same float operations in the same order as the
-    whole-matrix broadcast.  With ``out`` (``joint_affinities``,
-    ``_tsne_gradient``) the Gram matrix is one whole ``points @ points.T``
-    written into ``out``, and ``rows`` is a block of it.  Without
-    (silhouette) each block's Gram rows are one GEMM
-    ``points[s:s+m] @ points.T`` into a reusable buffer, so memory is
-    O(block * n) and ``rows`` is valid until the next block.  A block is
-    the largest multiple of 8 rows that fits in ``BLOCK_BYTES``, at least
-    8 and at most n, or as many rows as ``scratch`` has if it is given to
-    hold the sums.  The multiple of 8 keeps every block a GEMM when n is
-    one (a one-row block is a GEMV, which rounds differently), and then
-    the streamed rows equal the whole product's bit for bit; otherwise
-    the last n mod 8 rows and their mirror columns can differ in the
-    last bits.
+    whole-matrix broadcast.  With ``out`` (``joint_affinities``) the Gram
+    matrix is one whole ``points @ points.T`` written into ``out``, and
+    ``rows`` is a block of it.  Without (silhouette) each block's Gram
+    rows are one GEMM ``points[s:s+m] @ points.T`` into a reusable
+    buffer, so memory is O(block * n) and ``rows`` is valid until the
+    next block.  Blocks are ``block_rows(n)`` rows tall, so when n is
+    a multiple of 8 the streamed rows equal the whole product's bit for
+    bit; otherwise the last n mod 8 rows and their mirror columns can
+    differ in the last bits.
     """
     n = points.shape[0]
     sq = np.einsum("nd,nd->n", points, points)
-    if scratch is None:
-        scratch = np.empty((min(max(8, BLOCK_BYTES // (8 * n) // 8 * 8), n), n))
-    step = scratch.shape[0]
+    step = block_rows(n)
+    scratch = np.empty((step, n))
     if out is None:
         gram = np.empty_like(scratch)
     else:
@@ -140,4 +146,40 @@ def sq_distance_blocks(
         np.subtract(block, rows, out=rows)
         np.maximum(rows, 0.0, out=rows)
         np.fill_diagonal(rows[:, start : start + m], 0.0)
+        yield start, rows
+
+
+def shifted_sq_distance_blocks(points: np.ndarray, buffer: np.ndarray):
+    """One plus all pairwise squared Euclidean distances, clipped at 1, with a
+    diagonal of exactly 1, yielding ``(start, rows)`` for each block of
+    ``block_rows(n)`` rows; ``rows`` is valid until the next block.
+
+    Each block is one GEMM of the rows ``[x_i, 1 + |x_i|^2, 1]`` against
+    the pre-transposed, C-contiguous columns ``[-2 x_j, 1, |x_j|^2]``, an
+    inner dimension of d + 2, so the whole sum is formed inside the
+    product in the BLAS's order.  The entries are therefore not bit-equal
+    to one plus ``sq_distance_blocks``'s: they agree within the rounding
+    of a length-(d + 2) dot product of magnitude ``1 + |x_i|^2 + |x_j|^2``.
+    The t-SNE gradient takes its Student-t kernel ``1 / (1 + d^2)`` from
+    these blocks, at O(block * n) memory.  The blocks are written into
+    ``buffer``, a C-contiguous ``block_rows(n)`` x n array that a caller
+    making many passes reuses: a fresh half-MiB buffer on every pass is
+    trimmed and re-faulted by glibc each time.
+    """
+    n, d = points.shape
+    sq = np.einsum("nd,nd->n", points, points)
+    left = np.empty((n, d + 2))
+    left[:, :d] = points
+    np.add(sq, 1.0, out=left[:, d])
+    left[:, d + 1] = 1.0
+    right = np.empty((d + 2, n))
+    np.multiply(points.T, -2.0, out=right[:d])  # scaling by -2 is exact
+    right[d] = 1.0
+    right[d + 1] = sq
+    step = block_rows(n)
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        rows = np.matmul(left[start : start + m], right, out=buffer[:m])
+        np.maximum(rows, 1.0, out=rows)
+        np.fill_diagonal(rows[:, start : start + m], 1.0)
         yield start, rows

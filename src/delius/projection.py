@@ -3,9 +3,15 @@
 PCA comes from the singular value decomposition of the centered data
 with a deterministic sign convention: the largest-magnitude coordinate
 of every component is made positive.  The t-SNE here is the exact
-O(n^2) variant: per-point bandwidths found by bisection on the
-conditional distribution's entropy, symmetrised joint affinities, and
-plain momentum gradient descent with an early exaggeration phase.
+O(n^2) variant (van der Maaten & Hinton, JMLR 9, 2008): per-point
+bandwidths found by bisection on the conditional distribution's
+entropy, symmetrised joint affinities, and plain momentum gradient
+descent with an early exaggeration phase.  Both the affinities and the
+gradient work one row block of ``distance``'s height at a time, so a
+layout holds the n x n affinities and O(block * n) beside them.  The
+gradient is split as 4 (A - R / Z), attraction minus normalised
+repulsion (van der Maaten, JMLR 15, 2014), so every block is finished
+without waiting for the normaliser Z.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import sq_distance_blocks
+from .distance import block_rows, shifted_sq_distance_blocks, sq_distance_blocks
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .rng import Rng
 
@@ -97,49 +103,108 @@ class TsneConfig:
             )
 
 
-def _conditional_row(d2_row: np.ndarray, i: int, beta: float) -> np.ndarray:
-    logits = -beta * d2_row
-    logits[i] = -np.inf
-    logits -= logits.max()
-    p = np.exp(logits)
-    p[i] = 0.0
-    return p / p.sum()
+def _conditional_rows(dist: np.ndarray, beta: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Each row's conditional distribution at its bandwidth ``beta``, zero at
+    its own point (column ``diagonal``), normalised to sum to 1."""
+    rows = np.arange(dist.shape[0])
+    logits = np.multiply(-beta[:, None], dist)
+    logits[rows, diagonal] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits, out=logits)
+    p[rows, diagonal] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """Each row's entropy over its non-zero entries.
+
+    Rows with the same number k of non-zero entries are packed into one
+    k-column array, so each row's terms are summed as ``p[i][p[i] > 0]``
+    alone would be: a reduction along contiguous rows sums each row as
+    the reduction of that row alone does.
+    """
+    positive = p > 0.0
+    counts = positive.sum(axis=1)
+    entropy = np.empty(p.shape[0])
+    for k in set(counts.tolist()):
+        same = counts == k
+        nz = (p[positive] if same.all() else p[same][positive[same]]).reshape(-1, k)
+        terms = np.log(nz)
+        terms *= nz
+        entropy[same] = -terms.sum(axis=1)
+    return entropy
+
+
+def _bisect_rows(d2: np.ndarray, start: int, target: float) -> None:
+    """Overwrite a block of distance rows with their conditional distributions.
+
+    Every row's bandwidth is bisected until its distribution's entropy is
+    within ``_ENTROPY_TOL`` of ``target``, for at most ``_MAX_BISECTIONS``
+    steps.  All rows of the block step together as arrays, the finished
+    ones dropping out, and each row sees the float operations a bisection
+    of that row alone would do.
+    """
+    left = np.arange(d2.shape[0])  # block rows still bisecting
+    dist = d2
+    beta, lo, hi = np.ones(len(left)), np.zeros(len(left)), np.full(len(left), math.inf)
+    for step in range(_MAX_BISECTIONS):
+        p = _conditional_rows(dist, beta, start + left)
+        gap = _row_entropies(p) - target
+        done = np.abs(gap) <= _ENTROPY_TOL
+        if step == _MAX_BISECTIONS - 1 or done.all():
+            d2[left] = p
+            return
+        if done.any():
+            d2[left[done]] = p[done]
+            keep = ~done
+            left, dist, gap = left[keep], dist[keep], gap[keep]
+            beta, lo, hi = beta[keep], lo[keep], hi[keep]
+        wide = gap > 0.0  # too spread out: narrow the kernel
+        lo = np.where(wide, beta, lo)
+        hi = np.where(wide, hi, beta)
+        mid = (lo + hi) / 2.0  # inf while hi is: unused then
+        beta = np.where(
+            wide,
+            np.where(np.isinf(hi), beta * 2.0, mid),
+            np.where(lo == 0.0, beta / 2.0, mid),
+        )
+
+
+def _symmetrise(cond: np.ndarray, step: int) -> None:
+    """``(cond + cond.T) / (2 n)`` in place, a block of rows and its mirror
+    columns at a time: the same float operations as the whole-matrix sum,
+    with O(step * n) memory beside ``cond``."""
+    n = cond.shape[0]
+    scale = 2.0 * n
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        square = cond[start:stop, start:stop]
+        square[...] = (square + square.T) / scale
+        upper, lower = cond[start:stop, stop:], cond[stop:, start:stop]
+        np.add(upper, lower.T, out=upper)
+        upper /= scale
+        lower[...] = upper.T
 
 
 def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrised t-SNE affinity matrix; entries sum to 1.
 
     The per-point bandwidth is bisected until the conditional
-    distribution's entropy matches log(perplexity).  Each row's
-    distribution overwrites its distances as each block of rows is
-    finished, so the distances and the distributions share one n x n
-    array.
+    distribution's entropy matches log(perplexity), every row of a block
+    at once.  Each row's distribution overwrites its distances as each
+    block of rows is finished, and the symmetrisation works in place, so
+    the distances, the distributions and the result share one n x n
+    array beside O(block * n) temporaries.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     target = math.log(perplexity)
     cond = np.empty((n, n))
     for start, rows in sq_distance_blocks(points, out=cond):
-        for i, d2_row in enumerate(rows, start):
-            beta, lo, hi = 1.0, 0.0, math.inf
-            for _ in range(_MAX_BISECTIONS):
-                row = _conditional_row(d2_row, i, beta)
-                gap = _entropy(row) - target
-                if abs(gap) <= _ENTROPY_TOL:
-                    break
-                if gap > 0.0:  # too spread out: narrow the kernel
-                    lo = beta
-                    beta = beta * 2.0 if math.isinf(hi) else (lo + hi) / 2.0
-                else:
-                    hi = beta
-                    beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
-            d2_row[:] = row
-    return (cond + cond.T) / (2.0 * n)
+        _bisect_rows(rows, start, target)
+    _symmetrise(cond, block_rows(n))
+    return cond
 
 
 def lowdim_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -148,29 +213,59 @@ def lowdim_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     n = y.shape[0]
     if p.shape != (n, n):
         raise ShapeError(f"affinity shape {p.shape} does not match {n} points")
-    w = np.empty((n, n))
-    grad = _tsne_gradient(p, y, np.empty((n, n)), w)
-    q = w / w.sum()
-    mask = p > 0.0
-    kl = float((p[mask] * np.log(p[mask] / q[mask])).sum())
-    return grad, kl
+    return _tsne_gradient(p, y, divergence=True)
 
 
-def _tsne_gradient(p: np.ndarray, y: np.ndarray, scratch: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The KL gradient in the embedding, computed in two n x n buffers.
+def _tsne_gradient(
+    p: np.ndarray, y: np.ndarray, work: np.ndarray | None = None, divergence: bool = False
+) -> tuple[np.ndarray, float | None]:
+    """The KL gradient in the embedding, and with ``divergence`` KL(p || q)
+    itself, in one pass over row blocks of the Student-t kernel.
 
-    ``w`` is left holding the Student-t kernel weights with a zero
-    diagonal; ``scratch`` is overwritten.  ``tsne_embed`` allocates both
-    once per call and never computes the divergence.
+    With ``w_ij = 1 / (1 + d_ij^2)``, zero on the diagonal, and
+    ``Z = sum w``, the gradient is ``4 (A - R / Z)``: the attraction
+    ``A_i = sum_j p_ij w_ij (y_i - y_j)`` and the repulsion
+    ``R_i = sum_j w_ij^2 (y_i - y_j)``.  Each block of rows adds its
+    ``w`` sum to Z in block order and finishes its rows of A and R as two
+    GEMMs against ``[y, 1]``, so no term waits for Z and no n x n array
+    is made besides ``p``.  The divergence is accumulated per block as
+    ``sum p log p - sum p log w + (sum p) log Z`` over ``p > 0``.
+    ``work``, if given, is a ``(2, block_rows(n), n)`` array for the
+    kernel blocks and their products with ``p``; ``tsne_embed`` makes
+    one for all its iterations.
     """
-    for _, rows in sq_distance_blocks(y, out=w, scratch=scratch):
-        rows += 1.0
-        np.divide(1.0, rows, out=rows)
-    np.fill_diagonal(w, 0.0)
-    pq = np.divide(w, w.sum(), out=scratch)
-    np.subtract(p, pq, out=pq)
-    pq *= w
-    return 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+    n, d = y.shape
+    y1 = np.empty((n, d + 1))
+    y1[:, :d] = y
+    y1[:, d] = 1.0
+    attraction, repulsion = np.empty((n, d + 1)), np.empty((n, d + 1))
+    if work is None:
+        work = np.empty((2, block_rows(n), n))
+    z = 0.0
+    p_log_p = p_log_w = p_sum = 0.0
+    for start, w in shifted_sq_distance_blocks(y, work[0]):
+        stop = start + w.shape[0]
+        np.divide(1.0, w, out=w)
+        np.fill_diagonal(w[:, start:stop], 0.0)
+        z += float(w.sum())
+        rows = p[start:stop]
+        pw = np.multiply(rows, w, out=work[1, : w.shape[0]])
+        np.matmul(pw, y1, out=attraction[start:stop])
+        if divergence:
+            positive = rows > 0.0
+            pp = rows[positive]
+            p_log_p += float((pp * np.log(pp)).sum())
+            p_log_w += float((pp * np.log(w[positive])).sum())
+            p_sum += float(pp.sum())
+        np.square(w, out=w)
+        np.matmul(w, y1, out=repulsion[start:stop])
+    repulsion /= z
+    np.subtract(attraction, repulsion, out=attraction)
+    grad = attraction[:, d:] * y
+    grad -= attraction[:, :d]
+    grad *= 4.0
+    kl = p_log_p - p_log_w + p_sum * math.log(z) if divergence else None
+    return grad, kl
 
 
 def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
@@ -193,7 +288,7 @@ def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
     rng = Rng(config.seed)
     y = rng.normal((n, 2), std=1e-4)
     velocity = np.zeros_like(y)
-    scratch, w = np.empty((n, n)), np.empty((n, n))
+    work = np.empty((2, block_rows(n), n))
     # A diverging layout stops at its first non-finite step; the error
     # reports it, not numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -202,7 +297,7 @@ def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
                 p /= config.early_exaggeration
                 exaggerated = False
             momentum = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
-            grad = _tsne_gradient(p, y, scratch, w)
+            grad, _ = _tsne_gradient(p, y, work)
             velocity = momentum * velocity - config.learning_rate * grad
             y = y + velocity
             y = y - y.mean(axis=0)

@@ -822,7 +822,7 @@ def _delius_process(argv):
 def test_unwritable_output_exit_2(tmp_path, command):
     path = tmp_path / "rows.delf"
     write_features(FeatureMatrix.from_array(Rng(33).normal((20, 4))), str(path))
-    if command == "project":  # the stage runs, then its output's directory is missing
+    if command == "project":  # the output's directory is missing
         out = str(tmp_path / "missing" / "xy.csv")
         argv = ["project", "--features", str(path), "--method", "pca", "--out", out]
     else:  # an output directory below a regular file
@@ -832,6 +832,103 @@ def test_unwritable_output_exit_2(tmp_path, command):
     assert result.returncode == 2, result.stderr
     assert f"cannot write {out}" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _subparser(command):
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return subparsers.choices[command]
+
+
+_OUTPUT_CASES = [
+    (command, action.option_strings[0])
+    for command in ("gap", "pretrain", "cluster", "eval", "baseline", "project", "plot")
+    for action in _subparser(command)._actions
+    if action.dest.startswith("out")
+]
+
+
+# Every command's inputs as malformed files (each would exit 3 in the load
+# stage) and its output flags as writable paths, keyed by flag.
+def _malformed_inputs(tmp_path, command):
+    def bad(name):
+        path = tmp_path / name
+        path.write_bytes(b"XXXX" + bytes(20))
+        return str(path)
+
+    inputs = {
+        "gap": ["--maps", bad("m.delm")],
+        "pretrain": ["--features", bad("f.delf")],
+        "cluster": ["--features", bad("f.delf"), "--ae-checkpoint", bad("ae.delc"), "--k", "2"],
+        "eval": ["--points", bad("p.delf"), "--assignments", bad("a.csv")],
+        "baseline": ["--strategy", "pca-kmeans", "--features", bad("f.delf"), "--k", "2"],
+        "project": ["--features", bad("f.delf"), "--method", "pca"],
+        "plot": ["--xy", bad("xy.csv"), "--assignments", bad("a.csv")],
+    }[command]
+    flags = [flag for case, flag in _OUTPUT_CASES if case == command]
+    return inputs, {flag: str(tmp_path / f"o{i}") for i, flag in enumerate(flags)}
+
+
+def _argv(command, inputs, outputs):
+    return [command, *inputs, *(part for item in outputs.items() for part in item)]
+
+
+def test_output_cases_cover_every_output_flag():
+    assert sorted({flag for _, flag in _OUTPUT_CASES}) == [
+        "--out", "--out-assignments", "--out-checkpoint", "--out-embedded",
+        "--out-history", "--out-loss-curve",
+    ]
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_CASES)
+def test_output_in_missing_directory_exit_2_before_load(tmp_path, capsys, command, flag):
+    inputs, outputs = _malformed_inputs(tmp_path, command)
+    assert main(_argv(command, inputs, outputs)) == 3  # every output writable: load fails
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "file")
+    outputs[flag] = missing
+    assert main(_argv(command, inputs, outputs)) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: cannot write {missing}" in err and "load stage" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["gap", "pretrain", "cluster", "eval", "baseline",
+                                     "project", "plot", "run"])
+def test_refused_output_exits_2_without_traceback(tmp_path, command):
+    if command == "run":  # run makes its --outdir; one below a regular file cannot be made
+        inputs, _ = _malformed_inputs(tmp_path, "pretrain")
+        out = str(tmp_path / "f.delf" / "out")
+        argv = ["run", *inputs, "--k", "2", "--outdir", out]
+    else:
+        inputs, outputs = _malformed_inputs(tmp_path, command)
+        flag = next(iter(outputs))
+        out = outputs[flag] = str(tmp_path / "missing" / "file")
+        argv = _argv(command, inputs, outputs)
+    result = _delius_process(argv)
+    assert result.returncode == 2, result.stderr
+    assert f"cannot write {out}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_output_that_is_a_directory_exit_2(tmp_path, capsys):
+    inputs, _ = _malformed_inputs(tmp_path, "project")
+    (tmp_path / "xy").mkdir()
+    argv = ["project", *inputs, "--out", str(tmp_path / "xy")]
+    assert main(argv) == 2
+    assert f"--out: cannot write {tmp_path / 'xy'}: it is a directory" in capsys.readouterr().err
+
+
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, monkeypatch):
+    # The second write would replace the first artifact, so the pair is
+    # refused, however the two paths spell the file.
+    inputs, _ = _malformed_inputs(tmp_path, "cluster")
+    monkeypatch.chdir(tmp_path)
+    argv = ["cluster", *inputs, "--out-assignments", "a.out",
+            "--out-checkpoint", str(tmp_path / "m.delc"), "--out-history", str(tmp_path / "a.out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--out-assignments and --out-history both name" in err
+    assert not list(tmp_path.glob("*.out*"))
 
 
 def test_unreadable_id_sidecar_exit_2(tmp_path):

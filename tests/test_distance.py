@@ -96,6 +96,27 @@ def test_streamed_blocks_never_shrink_below_eight_rows():
     assert start == 0 and rows.shape == (8, 70_000)
 
 
+@pytest.mark.parametrize("n, scale", [(7, 1.0), (257, 1.0), (600, 50.0)])
+def test_shifted_blocks_are_one_plus_the_distances(n, scale):
+    # Clipped at 1 with a diagonal of exactly 1, in the all-pairs blocks'
+    # heights, and within the Gram form's rounding of 1 + d^2: a few u of
+    # 1 + |x_i|^2 + |x_j|^2, not bit-equal to sq_distance_blocks.
+    points = scale * Rng(n).normal((n, 3))
+    points[3] = points[0]  # a duplicate row: an exact zero distance
+    sq = np.einsum("nd,nd->n", points, points)
+    u = np.finfo(np.float64).eps / 2
+    buffer = np.empty((distance.block_rows(n), n))
+    shifted = distance.shifted_sq_distance_blocks(points, buffer)
+    for (start, rows), (start2, d2) in zip(shifted, distance.sq_distance_blocks(points)):
+        m = rows.shape[0]
+        assert start == start2 and rows.shape == d2.shape
+        assert np.shares_memory(rows, buffer)
+        assert rows.min() >= 1.0
+        assert np.all(np.diagonal(rows[:, start : start + m]) == 1.0)
+        bound = 16 * u * (1.0 + sq[start : start + m, None] + sq[None, :])
+        assert np.all(np.abs(rows - (1.0 + d2)) <= bound)
+
+
 def test_distance_module_sits_below_its_callers():
     probe = (
         "import sys\n"
