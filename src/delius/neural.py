@@ -114,9 +114,15 @@ def init_params(layer_dims: Sequence[int], activations: Sequence[str], rng: Rng)
             f"expected {len(dims) - 1} activations for {len(dims)} sizes, "
             f"got {len(activations)}"
         )
-    layers = []
-    for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations):
-        w = rng.normal((fan_out, fan_in), std=INIT_STD)
+    # One draw for every layer's weights, each layer padded to whole pairs:
+    # the weights and the stream are those of one draw per layer, and the
+    # lane start states and the transform are set up once.
+    sizes = [fan_in * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    draws = rng.normal(sum(size + size % 2 for size in sizes), std=INIT_STD)
+    layers, start = [], 0
+    for fan_in, fan_out, act, size in zip(dims[:-1], dims[1:], activations, sizes):
+        w = draws[start : start + size].reshape(fan_out, fan_in)
+        start += size + size % 2
         b = np.zeros(fan_out, dtype=np.float64)
         layers.append(DenseLayer(w=w, b=b, activation=act))
     return MlpParams(layers=layers)

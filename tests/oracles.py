@@ -1,6 +1,7 @@
 """Independent reference computations and measurements shared by the test modules."""
 
 import csv
+import math
 import tracemalloc
 from typing import Callable
 
@@ -54,6 +55,29 @@ def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
         if not tracing:
             tracemalloc.stop()
     return result, peak - before
+
+
+def normal_whole_block(rng, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    """Frozen copy of ``Rng.normal`` before the chunked transform.
+
+    Every step of the Box-Muller transform runs once over the whole block
+    of words, each in a new array.
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    count = 1
+    for dim in shape:
+        count *= dim
+    pairs = (count + 1) // 2
+    block = rng._u64_block(2 * pairs) >> np.uint64(11)
+    # u1 lies in (0, 1] so the logarithm is always defined.
+    u1 = (block[0::2].astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = block[1::2].astype(np.float64) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    draws = np.empty(2 * pairs, dtype=np.float64)
+    draws[0::2] = radius * np.cos(angle)
+    draws[1::2] = radius * np.sin(angle)
+    return (mean + std * draws[:count]).reshape(shape)
 
 
 # Frozen copies of the per-cell CSV readers, which parse every cell with

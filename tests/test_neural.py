@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from delius import neural
 from delius.errors import ConfigError, FormatError, NumericError, ShapeError
 from delius.neural import (
+    INIT_STD,
     AdamConfig,
     Checkpoint,
     DenseLayer,
@@ -66,6 +67,17 @@ def test_init_deterministic():
     b = _net([5, 4, 3], ["relu", "identity"], seed=7)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.w, lb.w)
+
+
+@pytest.mark.parametrize("dims", [[5, 4, 3], [7, 5, 3, 5, 7], [999, 5, 3], [1024, 500, 10]])
+def test_init_draws_as_one_normal_per_layer(dims):
+    # Odd layer sizes included: each layer keeps its own pair padding.
+    r, ref = Rng(9), Rng(9)
+    params = init_params(dims, ["relu"] * (len(dims) - 1), r)
+    for layer, fan_in, fan_out in zip(params.layers, dims[:-1], dims[1:]):
+        assert layer.w.tobytes() == ref.normal((fan_out, fan_in), std=INIT_STD).tobytes()
+        assert layer.w.shape == (fan_out, fan_in)
+    assert r._s == ref._s
 
 
 def test_init_rejects_bad_chain():

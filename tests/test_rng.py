@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from delius import rng as rng_module
+from delius.autoencoder import AutoencoderSpec, build
 from delius.rng import Rng, splitmix64
+from oracles import normal_whole_block
 
 # First outputs of splitmix64 from state 0, computed step by step from the
 # published mixing constants and frozen here.
@@ -169,7 +171,7 @@ def _assert_block_is_stream(seed: int, n: int, block) -> None:
 
 def _lane_path(r: Rng, n: int) -> np.ndarray:
     words, r._s = rng_module._lane_words(r._s, n)
-    return words
+    return words.T.reshape(-1)[:n]
 
 
 SMALL_LANE = 1 << rng_module._lane_log_len(1)
@@ -278,3 +280,103 @@ def test_permutation_matches_scalar_fisher_yates(n):
     r = Rng(15)
     assert r.permutation(n).tolist() == order
     assert r._s == ref._s
+
+
+# The chunked Box-Muller transform against a frozen copy of the whole-block
+# one: the same bits and the same stream state after every count, across
+# the word-loop/lane crossover and the chunk boundaries.
+
+CHUNK = 2 * rng_module._CHUNK_PAIRS  # draws per chunk when 32 | lane length
+
+
+@pytest.mark.parametrize(
+    "count", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 4095, 4096, 4097]
+)
+def test_normal_matches_whole_block_transform(count):
+    a, b = Rng(81), Rng(81)
+    got = a.normal(count, mean=0.25, std=3.0)
+    want = normal_whole_block(b, count, mean=0.25, std=3.0)
+    assert got.shape == (count,)
+    assert got.tobytes() == want.tobytes()
+    assert a._s == b._s
+    assert a.next_u64() == b.next_u64()
+
+
+def test_normal_chunks_split_where_the_tests_expect():
+    # CHUNK words take lanes of 32 words and so exactly one chunk; one
+    # more pair starts a second chunk of one lane.
+    for words in (CHUNK, CHUNK + 2, 2 * CHUNK + 4):
+        assert 1 << rng_module._lane_log_len(words) == 32
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (7, 5), (1, 4097)])
+def test_normal_matches_whole_block_transform_for_shapes(shape):
+    a, b = Rng(82), Rng(82)
+    got = a.normal(shape, std=0.01)
+    want = normal_whole_block(b, shape, std=0.01)
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert a._s == b._s
+
+
+def _state_opening_with(first: int, x: int) -> list[int]:
+    """A state whose first word is ``first``, with ``x`` choosing the second.
+
+    With ``s0 = 0`` the first output is ``rotl(s3, 23)``; after one step
+    ``s0 = s3 ^ s1``, which ``s1`` sets to ``x``.
+    """
+    mask = (1 << 64) - 1
+    s3 = ((first >> 23) | (first << 41)) & mask
+    return [0, s3 ^ x, 0, s3]
+
+
+def test_normal_keeps_the_sign_of_a_zero_draw():
+    # Top 53 bits set: u1 = 1, so log u1 = 0 and radius = sqrt(-0.0) = -0.0.
+    first = ((1 << 53) - 1) << 11
+    for k in range(1, 100):
+        state = _state_opening_with(first, (k * 0x9E3779B97F4A7C15) % (1 << 64))
+        words, _ = rng_module._scalar_words(state, 2)
+        angle = 2.0 * np.pi * (words[1] >> 11) * 2.0 ** -53
+        if np.cos(angle) < 0 < np.sin(angle):
+            break
+    else:
+        pytest.fail("no second word with its angle in (pi/2, pi)")
+    assert words[0] == first
+    for count in (2, 5000):  # the word loop, then the lane path
+        for mean in (0.0, -0.0, 1.5):
+            a, b = Rng(0), Rng(0)
+            a._s, b._s = list(state), list(state)
+            got = a.normal(count, mean=mean, std=2.0)
+            want = normal_whole_block(b, count, mean=mean, std=2.0)
+            assert got.tobytes() == want.tobytes()
+            assert a._s == b._s
+    # -0.0 * cos is +0.0 and -0.0 * sin is -0.0; adding a mean of +0.0
+    # turns that -0.0 into +0.0, as the whole-block transform does.
+    r = Rng(0)
+    r._s = list(state)
+    draws = r.normal(2, mean=0.0, std=2.0)
+    assert draws.tolist() == [0.0, 0.0]
+    assert not np.signbit(draws).any()
+    r._s = list(state)
+    assert np.signbit(r.normal(2, mean=-0.0, std=2.0)).tolist() == [False, True]
+
+
+# Known answers frozen from the whole-block transform: the autoencoder's
+# initial weights and a small affine draw, each with the next word.
+
+
+def test_build_known_answer():
+    r = Rng(21)
+    params = build(AutoencoderSpec(input_dim=1024), r)
+    digest = hashlib.sha256()
+    for block in params.blocks():
+        digest.update(np.ascontiguousarray(block).tobytes())
+    assert digest.hexdigest() == "70054671c3eea44e1e7c024abe39ed3b90e0e166ea3206fa515233dd9804d1d5"
+    assert r.next_u64() == 0x76D43A0B9472F603
+
+
+def test_small_affine_normal_known_answer():
+    r = Rng(5)
+    draws = r.normal((3, 5), mean=2.0, std=0.5)
+    assert _sha256(draws) == "acadc8e81e9a56bc2f7d0ee90dba46394c4afae75f975da533903e6177e54ba1"
+    assert r.next_u64() == 0xBC49957F69CD7A00
