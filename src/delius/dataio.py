@@ -41,7 +41,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .rng import Rng
 
 _MAGIC_MATRIX = b"DELF"
 _MAGIC_MAPS = b"DELM"
@@ -759,6 +758,8 @@ def stratified_sample(
     Each class contributes round(fraction * class_count) rows (half up).
     Every matrix id must appear in the label mapping.
     """
+    from .rng import Rng  # only sampling draws, so eval and plot never load it
+
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
     missing = [i for i in matrix.ids if i not in labels]

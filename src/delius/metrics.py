@@ -81,7 +81,8 @@ def calinski_harabasz(points: np.ndarray, labels: np.ndarray) -> float:
     """Variance ratio criterion; infinite when within-cluster scatter vanishes."""
     points, labels = _check_points_labels(points, labels)
     n = points.shape[0]
-    clusters = np.unique(labels)
+    # A bare np.unique takes numpy's hash path, which imports numpy.ma.
+    clusters = np.unique(labels, return_counts=True)[0]
     k = len(clusters)
     if not 2 <= k <= n - 1:
         raise ConfigError(f"variance ratio needs 2 <= clusters <= n - 1, got k={k}, n={n}")
@@ -223,7 +224,7 @@ def evaluate(
         chi=calinski_harabasz(points, labels),
         acc_style=acc(style_truth),
         acc_genre=acc(genre_truth),
-        k=int(len(np.unique(labels))),
+        k=len(np.unique(labels, return_counts=True)[0]),
         n=int(points.shape[0]),
         space_tag=space_tag,
     )

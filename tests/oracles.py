@@ -2,11 +2,15 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from typing import Callable
 
 import numpy as np
 
+import delius
 from delius.dataio import (
     ClusterAssignments,
     FeatureMatrix,
@@ -15,6 +19,7 @@ from delius.dataio import (
     _parse_cells,
 )
 from delius.errors import FormatError
+from delius.projection import PcaModel
 
 
 def numeric_gradient(
@@ -55,6 +60,48 @@ def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
         if not tracing:
             tracemalloc.stop()
     return result, peak - before
+
+
+def _status_kb(field: str) -> str:
+    return (f"int(next(ln for ln in open('/proc/self/status')"
+            f" if ln.startswith('{field}:')).split()[1]) * 1024")
+
+
+def child_memory(setup: str, call: str) -> tuple[int, int]:
+    """Run ``setup`` then ``call`` in a fresh interpreter with ``delius`` importable.
+
+    Returns the child's resident bytes after ``setup`` (``VmRSS``) and its
+    high-water mark after ``call`` (``VmHWM``), both read by the child from
+    ``/proc/self/status``.  A child's ``ru_maxrss`` would also count the
+    address space it was forked from, the test process; tracemalloc would
+    miss what BLAS and LAPACK allocate.
+    """
+    script = (f"{setup}\nbefore = {_status_kb('VmRSS')}\n{call}\n"
+              f"print(before, {_status_kb('VmHWM')})\n")
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delius.__file__))),
+        capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    before, peak = child.stdout.split()[-2:]
+    return int(before), int(peak)
+
+
+def pca_fit_thin_svd(points: np.ndarray, r: int) -> PcaModel:
+    """Frozen copy of ``pca_fit`` before the R-factor route, without its checks.
+
+    The components come from the thin SVD of the whole centered data.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    mean = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - mean, full_matrices=False)
+    components = vt[:r].copy()
+    for row in components:
+        pivot = int(np.argmax(np.abs(row)))
+        if row[pivot] < 0.0:
+            row *= -1.0
+    return PcaModel(mean=mean, components=components)
 
 
 def normal_whole_block(rng, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:

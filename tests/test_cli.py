@@ -33,6 +33,8 @@ from delius.metrics import clustering_accuracy, evaluate
 from delius.neural import load_checkpoint
 from delius.rng import Rng
 
+from oracles import child_memory
+
 K = 3
 N_PER = 30
 DIM = 8
@@ -210,22 +212,9 @@ def test_eval_memory_bounded_in_rows(tmp_path):
                       str(assignments))
     argv = ["eval", "--points", str(points), "--assignments", str(assignments),
             "--out", str(tmp_path / "report.json")]
-    # The child reports its own high-water mark: ru_maxrss of a child also
-    # counts the address space it was forked from, here the test process.
-    status = tmp_path / "status.txt"
-    script = (f"import pathlib, sys; from delius.cli import main; code = main({argv!r}); "
-              f"pathlib.Path({str(status)!r}).write_text(open('/proc/self/status').read()); "
-              "sys.exit(code)")
-    child = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delius.__file__))),
-        stderr=subprocess.PIPE, text=True, check=False,
-    )
-    assert child.returncode == 0, child.stderr
+    _, peak = child_memory("from delius.cli import main", f"assert main({argv!r}) == 0")
     assert json.loads((tmp_path / "report.json").read_text())["n"] == n
-    (line,) = [ln for ln in status.read_text().splitlines() if ln.startswith("VmHWM:")]
-    peak_kb = int(line.split()[1])
-    assert peak_kb < 300 * 1024, f"peak RSS {peak_kb / 1024:.0f} MB"
+    assert peak < 300 * 1024 * 1024, f"peak RSS {peak / 2**20:.0f} MB"
 
 
 def test_baseline_pca(workspace, tmp_path):
@@ -382,16 +371,13 @@ def test_plot_renders_svg(workspace, tmp_path):
     assert len(circles) == K * N_PER
 
 
-def test_plot_process_loads_no_training_modules(workspace, tmp_path):
-    xy = tmp_path / "xy.csv"
-    xy.write_text(f"id,x,y\n{workspace['fm'].ids[0]},1.0,2.0\n")
+def _loaded_by(argv, modules):
+    """Exit code of ``main(argv)`` in a fresh process, and which of ``modules`` it loaded."""
     probe = (
         "import sys\n"
         "from delius.cli import main\n"
-        f"code = main(['plot', '--xy', {str(xy)!r}, '--assignments',"
-        f" {workspace['assignments']!r}, '--out', {str(tmp_path / 's.svg')!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m in"
-        " ('delius.dec', 'delius.kmeans', 'delius.neural', 'delius.autoencoder')))\n"
+        f"code = main({argv!r})\n"
+        f"print(code, sorted(m for m in sys.modules if m in {tuple(modules)!r}))\n"
     )
     src = os.path.dirname(os.path.dirname(delius.__file__))
     result = subprocess.run(
@@ -399,7 +385,23 @@ def test_plot_process_loads_no_training_modules(workspace, tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "0 []"
+    return result.stdout.strip()
+
+
+def test_plot_process_loads_no_training_modules(workspace, tmp_path):
+    xy = tmp_path / "xy.csv"
+    xy.write_text(f"id,x,y\n{workspace['fm'].ids[0]},1.0,2.0\n")
+    argv = ["plot", "--xy", str(xy), "--assignments", workspace["assignments"],
+            "--out", str(tmp_path / "s.svg")]
+    training = ("delius.dec", "delius.kmeans", "delius.neural", "delius.autoencoder",
+                "delius.rng")
+    assert _loaded_by(argv, training) == "0 []"
+
+
+def test_eval_process_loads_no_masked_arrays(workspace, tmp_path):
+    argv = ["eval", "--points", workspace["embedded"], "--assignments", workspace["assignments"],
+            "--labels-manifest", workspace["manifest"], "--out", str(tmp_path / "r.json")]
+    assert _loaded_by(argv, ("numpy.ma", "delius.rng")) == "0 []"
 
 
 def test_plot_missing_id_fails_with_data_error(workspace, tmp_path, capsys):

@@ -18,7 +18,7 @@ from delius.projection import (
 )
 from delius.rng import Rng
 
-from oracles import numeric_gradient, traced_peak
+from oracles import child_memory, numeric_gradient, pca_fit_thin_svd, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +107,49 @@ def test_pca_validation():
     model = pca_fit(np.random.default_rng(8).normal(size=(10, 3)), 2)
     with pytest.raises(ShapeError):
         pca_transform(model, np.zeros((4, 5)))
+
+
+def _mnthr(d):
+    """LAPACK dgesdd's crossover: from this many rows it takes the SVD of R."""
+    return max(2, 11 * d // 6)
+
+
+@pytest.mark.parametrize("n, d", [(_mnthr(1), 1), (_mnthr(2), 2), (_mnthr(10), 10),
+                                  (500, 10), (_mnthr(256), 256), (1000, 256)])
+@pytest.mark.parametrize("top", [False, True])
+def test_pca_equals_thin_svd_from_lapack_crossover(n, d, top):
+    rng = np.random.default_rng(n * 1000 + d)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d) + 5.0
+    r = min(n - 1, d) if top else 1
+    model, oracle = pca_fit(x, r), pca_fit_thin_svd(x, r)
+    assert model.mean.tobytes() == oracle.mean.tobytes()
+    assert model.components.tobytes() == oracle.components.tobytes()
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (17, 10), (54, 30), (200, 256)])
+def test_pca_near_thin_svd_below_lapack_crossover(n, d):
+    assert n < _mnthr(d)
+    rng = np.random.default_rng(n + d)
+    k = min(n - 1, d)
+    left = rng.normal(size=(n, k))
+    left, _ = np.linalg.qr(left - left.mean(axis=0))
+    right, _ = np.linalg.qr(rng.normal(size=(d, k)))
+    x = (left * np.linspace(10.0, 1.0, k)) @ right.T + rng.normal(size=d)
+    model, oracle = pca_fit(x, k), pca_fit_thin_svd(x, k)
+    assert np.array_equal(model.mean, oracle.mean)
+    assert np.abs(model.components - oracle.components).max() <= 1e-11
+
+
+def test_pca_transient_memory_bounded():
+    # Three n x d arrays: the centered data and the two copies numpy's QR makes.
+    n, d = 20_000, 256
+    before, peak = child_memory(
+        "import numpy as np\nfrom delius.projection import pca_fit\n"
+        f"x = np.random.default_rng(0).standard_normal(({n}, {d}))",
+        "pca_fit(x, 50)",
+    )
+    arrays = (peak - before) / (8 * n * d)
+    assert arrays <= 3.3, f"pca_fit held {arrays:.2f} n x d arrays above its input"
 
 
 # ---------------------------------------------------------------------------
