@@ -23,17 +23,18 @@ Conventions shared by every subcommand:
   time;
 * a handler builds its configs before it reads any input, and each
   config checks itself when built, so a bad flag value exits 2 first;
-* main() checks every output flag before the handler runs: a file in a
-  missing directory, a path that is a directory, or two flags naming one
-  file exits 2 before any work;
+* main() checks every output before the handler runs, the defaults of
+  left-out output flags and the manifest included: a file in a missing
+  directory, a path that is a directory, two outputs naming one file, or
+  an output naming an input file exits 2 before any work;
 * every input is read in the ``load`` stage, so an unreadable or
   malformed input is reported as "<command>: load stage failed";
 * artifacts are written under a ``.partial`` suffix and renamed on
   stage success, so a crashed stage leaves only ``.partial`` files.
 
-Each subcommand reads its inputs, calls one stage function and returns
-its manifest's path; main() writes every manifest.  ``run`` chains the
-same stage functions in one process, so its artifacts equal those of
+Each subcommand reads its inputs and calls one stage function; main()
+writes every manifest, beside the command's main output.  ``run`` chains
+the same stage functions in one process, so its artifacts equal those of
 the chained subcommands byte for byte.
 Stage functions import what they use when called, so the thread cap set
 in main() precedes numpy and a process loads only its stages' modules.
@@ -68,31 +69,61 @@ _OUTPUT_FLAGS = (
     "out", "out_checkpoint", "out_loss_curve", "out_assignments", "out_history", "out_embedded",
 )
 
+# The files ``run`` writes into its --outdir.
+_RUN_ARTIFACTS = dict(
+    checkpoint="autoencoder.delc", loss_curve="pretrain_loss.csv", assignments="assignments.csv",
+    model="model.delc", history="history.csv", embedded="embedded.delf", report="report.json",
+    xy="xy.csv", scatter="scatter.svg", manifest="manifest.json",
+)
+
+
+def _outputs(args: argparse.Namespace) -> dict[str, str]:
+    """Every file the command writes: each output flag's, a left-out flag's
+    default, and ``manifest``, keyed by dest; ``run``'s by ``_RUN_ARTIFACTS``."""
+    if args.command == "run":
+        return {key: os.path.join(args.outdir, name) for key, name in _RUN_ARTIFACTS.items()}
+    paths = {name: getattr(args, name) for name in _OUTPUT_FLAGS if getattr(args, name, None)}
+    if args.command == "pretrain":
+        paths.setdefault("out_loss_curve", args.out_checkpoint + ".loss.csv")
+    if args.command == "cluster":
+        paths.setdefault("out_history", args.out_assignments + ".history.csv")
+    main_output = {"pretrain": "out_checkpoint", "cluster": "out_assignments"}.get(args.command)
+    paths["manifest"] = paths[main_output or "out"] + ".manifest.json"
+    return paths
+
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse, before any input is read, an output flag whose file cannot be made.
+    """Refuse, before any input is read, an output whose file cannot or must not be made.
 
-    The file's directory must exist and be a directory, and the path must
-    not be a directory itself.  Two flags naming one file are refused too,
-    since the second write would replace the first artifact.  What only
-    the write can show, such as a full disk, ``_artifact`` reports.
+    The file's directory must exist (``run`` makes its --outdir later) and
+    the path must not be a directory.  An output naming an input file or
+    another output is refused too, since its write would replace that
+    file.  What only the write can show, such as a full disk,
+    ``_artifact`` reports.
     """
     from .errors import ConfigError
 
+    inputs = {os.path.realpath(path): "--" + name.replace("_", "-")
+              for name in _INPUT_FLAGS if (path := getattr(args, name, None))}
     named = {}
-    for name in _OUTPUT_FLAGS:
-        path = getattr(args, name, None)
-        if not path:
-            continue
-        flag = "--" + name.replace("_", "-")
+    for key, path in _outputs(args).items():
+        if args.command == "run":
+            label = "--outdir"
+        elif key == "manifest":
+            label = "the manifest"
+        else:
+            label = "--" + key.replace("_", "-") + ("" if getattr(args, key) else " (default)")
         directory = os.path.dirname(path) or os.curdir
-        if not os.path.isdir(directory):
-            raise ConfigError(f"{flag}: cannot write {path}: {directory} is not an existing directory")
+        if args.command != "run" and not os.path.isdir(directory):
+            raise ConfigError(f"{label}: cannot write {path}: {directory} is not an existing directory")
         if os.path.isdir(path):
-            raise ConfigError(f"{flag}: cannot write {path}: it is a directory")
-        other = named.setdefault(os.path.realpath(path), flag)
-        if other != flag:
-            raise ConfigError(f"{other} and {flag} both name {path}; give each its own file")
+            raise ConfigError(f"{label}: cannot write {path}: it is a directory")
+        real = os.path.realpath(path)
+        if real in inputs:
+            raise ConfigError(f"{label}: {path} is the {inputs[real]} input; give another file")
+        other = named.setdefault(real, label)
+        if other != label:
+            raise ConfigError(f"{other} and {label} both name {path}; give each its own file")
 
 
 class _Stage:
@@ -279,13 +310,15 @@ def _cluster(args, config, features, encoder, assignments_path, checkpoint_path,
     return assignments, embedded
 
 
-def _evaluate(points, labels, manifest, column: str, space_tag: str, out: str):
-    """Score ``labels`` (one per row of ``points``) and write the report."""
-    from .dataio import truth_labels
+def _evaluate(points, ids, labels, manifest, column: str, space_tag: str, out: str):
+    """Score ``labels`` (one per row of ``points``, whose ids are ``ids``)
+    against the manifest's ``column`` labels and write the report."""
+    from .dataio import labels_for
     from .metrics import evaluate
 
-    style, genre = truth_labels(manifest, points, column)
-    report = evaluate(points.values, labels, space_tag, style_truth=style, genre_truth=genre)
+    style, genre = (labels_for(manifest, ids, name) if manifest and column in (name, "both")
+                    else None for name in ("style", "genre"))
+    report = evaluate(points, labels, space_tag, style_truth=style, genre_truth=genre)
     _write_text(out, report.to_json())
 
 
@@ -317,10 +350,10 @@ def _plot(ids, coords, assignments, out: str, **layout):
 
 
 # ---------------------------------------------------------------------------
-# handlers: load every input, run one stage, return the manifest's path
+# handlers: load every input, run one stage
 
 
-def _cmd_gap(args) -> str:
+def _cmd_gap(args) -> None:
     from .dataio import global_average_pool, read_feature_maps, write_features
 
     with _stage("load"):
@@ -328,20 +361,17 @@ def _cmd_gap(args) -> str:
     with _stage("pool"):
         with _artifact(args.out) as target:
             write_features(global_average_pool(block), target, fmt="binary")
-    return args.out + ".manifest.json"
 
 
-def _cmd_pretrain(args) -> str:
+def _cmd_pretrain(args) -> None:
     spec = _autoencoder_spec(args, _adam_config(args))
     with _stage("load"):
         features = _read_features(args, args.features)
     with _stage("pretrain"):
-        loss_path = args.out_loss_curve or args.out_checkpoint + ".loss.csv"
-        _pretrain(args, spec, features, args.out_checkpoint, loss_path)
-    return args.out_checkpoint + ".manifest.json"
+        _pretrain(args, spec, features, args.out_checkpoint, _outputs(args)["out_loss_curve"])
 
 
-def _cmd_cluster(args) -> str:
+def _cmd_cluster(args) -> None:
     from .neural import load_checkpoint
 
     config = _dec_config(args)
@@ -349,13 +379,11 @@ def _cmd_cluster(args) -> str:
         features = _read_features(args, args.features)
         encoder = _encoder_of(load_checkpoint(args.ae_checkpoint))
     with _stage("cluster"):
-        history_path = args.out_history or args.out_assignments + ".history.csv"
         _cluster(args, config, features, encoder, args.out_assignments,
-                 args.out_checkpoint, history_path, args.out_embedded)
-    return args.out_assignments + ".manifest.json"
+                 args.out_checkpoint, _outputs(args)["out_history"], args.out_embedded)
 
 
-def _cmd_eval(args) -> str:
+def _cmd_eval(args) -> None:
     from .dataio import cluster_labels, read_assignments
 
     with _stage("load"):
@@ -364,13 +392,13 @@ def _cmd_eval(args) -> str:
         manifest = _read_labels(args)
     with _stage("eval"):
         labels = cluster_labels(points.ids, assignments)
-        _evaluate(points, labels, manifest, args.label_column, args.space_tag, args.out)
-    return args.out + ".manifest.json"
+        _evaluate(points.values, points.ids, labels, manifest, args.label_column,
+                  args.space_tag, args.out)
 
 
-def _cmd_baseline(args) -> str:
+def _cmd_baseline(args) -> None:
     from .baselines import run_ae_kmeans, run_pca_kmeans
-    from .dataio import ClusterAssignments, FeatureMatrix, write_assignments
+    from .dataio import ClusterAssignments, write_assignments
     from .errors import ConfigError
     from .neural import load_checkpoint
 
@@ -400,39 +428,33 @@ def _cmd_baseline(args) -> str:
                 features, encoder, args.k, seed=args.seed, restarts=args.restarts
             )
             space_tag = "embedded"
-        _evaluate(FeatureMatrix(points, features.ids), labels, manifest, "both", space_tag,
-                  args.out)
+        _evaluate(points, features.ids, labels, manifest, "both", space_tag, args.out)
         if args.out_assignments:
             with _artifact(args.out_assignments) as target:
                 write_assignments(ClusterAssignments(ids=features.ids, hard=labels), target)
-    return args.out + ".manifest.json"
-
-
-def _cluster_strata(ids, assignments) -> dict:
-    from .dataio import cluster_labels
-
-    return dict(zip(ids, cluster_labels(ids, assignments).tolist()))
 
 
 def _stratify_labels(args, features):
-    from .dataio import read_assignments
+    """The stratum of each row: its manifest label, its cluster, or one for all."""
+    import numpy as np
+
+    from .dataio import cluster_labels, labels_for, read_assignments
     from .errors import DataError
 
     manifest = _read_labels(args)
     if manifest is not None:
-        mapping = manifest.label_map(args.label_column)
-        missing = [i for i in features.ids if i not in mapping]
-        if missing:
-            raise DataError(
-                f"cannot stratify: id {missing[0]!r} has no {args.label_column} label"
-            )
-        return {i: mapping[i] for i in features.ids}
+        strata = labels_for(manifest, features.ids, args.label_column)
+        unlabeled = np.flatnonzero(strata < 0)
+        if unlabeled.size:
+            missing = features.ids[unlabeled[0]]
+            raise DataError(f"cannot stratify: id {missing!r} has no {args.label_column} label")
+        return strata
     if args.assignments:
-        return _cluster_strata(features.ids, read_assignments(args.assignments))
-    return {i: 0 for i in features.ids}  # single stratum: plain sampling
+        return cluster_labels(features.ids, read_assignments(args.assignments))
+    return np.zeros(features.n, dtype=np.int64)  # single stratum: plain sampling
 
 
-def _cmd_project(args) -> str:
+def _cmd_project(args) -> None:
     from .errors import ConfigError
     from .projection import TsneConfig
 
@@ -460,10 +482,9 @@ def _cmd_project(args) -> str:
     with _stage("project"):
         _project(features, strata, args.fraction, args.seed, args.out,
                  tsne if args.method == "tsne" else None, pca_dim=args.r)
-    return args.out + ".manifest.json"
 
 
-def _cmd_plot(args) -> str:
+def _cmd_plot(args) -> None:
     from .dataio import read_assignments, read_xy
     from .plotting import check_layout
 
@@ -474,10 +495,9 @@ def _cmd_plot(args) -> str:
         assignments = read_assignments(args.assignments)
     with _stage("plot"):
         _plot(ids, coords, assignments, args.out, **layout)
-    return args.out + ".manifest.json"
 
 
-def _cmd_run(args) -> str:
+def _cmd_run(args) -> None:
     from .errors import ConfigError
     from .projection import TsneConfig
 
@@ -488,27 +508,27 @@ def _cmd_run(args) -> str:
         os.makedirs(args.outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {args.outdir}: {exc.strerror or exc}")
-    out = lambda name: os.path.join(args.outdir, name)
+    out = _outputs(args)
 
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
     with _stage("pretrain"):
-        ckpt = _pretrain(args, spec, features, out("autoencoder.delc"), out("pretrain_loss.csv"))
+        ckpt = _pretrain(args, spec, features, out["checkpoint"], out["loss_curve"])
     with _stage("cluster"):
         assignments, embedded = _cluster(
-            args, config, features, _encoder_of(ckpt), out("assignments.csv"),
-            out("model.delc"), out("history.csv"), out("embedded.delf"),
+            args, config, features, _encoder_of(ckpt), out["assignments"],
+            out["model"], out["history"], out["embedded"],
         )
+    # _cluster keys the assignments by the embedded rows' ids, in row order
     with _stage("eval"):
-        # _cluster keys the assignments by the embedded rows' ids, in row order
-        _evaluate(embedded, assignments.hard, manifest, "both", "embedded", out("report.json"))
+        _evaluate(embedded.values, embedded.ids, assignments.hard, manifest, "both", "embedded",
+                  out["report"])
     with _stage("project"):
-        strata = _cluster_strata(embedded.ids, assignments)
-        ids, coords = _project(embedded, strata, args.fraction, args.seed, out("xy.csv"), tsne)
+        ids, coords = _project(embedded, assignments.hard, args.fraction, args.seed, out["xy"],
+                               tsne)
     with _stage("plot"):
-        _plot(ids, coords, assignments, out("scatter.svg"))
-    return out("manifest.json")
+        _plot(ids, coords, assignments, out["scatter"])
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +726,8 @@ def main(argv=None) -> int:
             os.environ[var] = str(threads)
         _check_outputs(args)
         started = time.monotonic()
-        _write_manifest(args.func(args), args, started)
+        args.func(args)
+        _write_manifest(_outputs(args)["manifest"], args, started)
     except DeliusError as exc:
         stage = _stage.name or args.command
         print(f"delius {args.command}: {stage} stage failed: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -544,11 +544,6 @@ class LabelManifest:
     def class_names(self, column: str) -> tuple[str, ...]:
         return tuple(sorted(set(self._column(column).values())))
 
-    def label_map(self, column: str) -> dict[str, int]:
-        """id -> dense class index for the ids labeled in that column."""
-        names = {name: idx for idx, name in enumerate(self.class_names(column))}
-        return {i: names[v] for i, v in self._column(column).items()}
-
 
 def read_label_manifest(path: str) -> LabelManifest:
     rows = _csv_rows(path, "label manifest")
@@ -570,31 +565,12 @@ def write_label_manifest(manifest: LabelManifest, path: str) -> None:
             writer.writerow([i, style or "", genre or ""])
 
 
-def labels_for(
-    manifest: LabelManifest, matrix: FeatureMatrix, column: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense class indices for the matrix rows labeled in the manifest.
-
-    Returns (row_indices, class_indices) covering exactly the labeled
-    rows.
-    """
-    mapping = manifest.label_map(column)
-    rows = []
-    classes = []
-    for r, i in enumerate(matrix.ids):
-        if i in mapping:
-            rows.append(r)
-            classes.append(mapping[i])
-    return np.array(rows, dtype=np.int64), np.array(classes, dtype=np.int64)
-
-
-def truth_labels(manifest: LabelManifest | None, matrix: FeatureMatrix, column: str = "both"):
-    """(style, genre) ``labels_for`` pairs; None for a column not asked for or no manifest."""
-    if manifest is None:
-        return None, None
-    style = labels_for(manifest, matrix, "style") if column in ("style", "both") else None
-    genre = labels_for(manifest, matrix, "genre") if column in ("genre", "both") else None
-    return style, genre
+def labels_for(manifest: LabelManifest, ids: Sequence[str], column: str) -> np.ndarray:
+    """The dense class index of each id in that column, in the order given;
+    -1 for an id the manifest leaves unlabeled there or does not list."""
+    names = manifest._column(column)
+    index = {name: c for c, name in enumerate(manifest.class_names(column))}
+    return np.array([index[names[i]] if i in names else -1 for i in ids], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -749,39 +725,39 @@ def read_xy(path: str) -> tuple[list[str], np.ndarray]:
 
 def stratified_sample(
     matrix: FeatureMatrix,
-    labels: Mapping[str, object],
+    strata: np.ndarray,
     fraction: float,
     seed: int,
 ) -> FeatureMatrix:
-    """Deterministic per-class sample keeping original row order.
+    """Deterministic per-stratum sample keeping original row order.
 
-    Each class contributes round(fraction * class_count) rows (half up).
-    Every matrix id must appear in the label mapping.
+    ``strata`` holds one stratum per matrix row; rows whose values have
+    the same ``str`` share a stratum.  Strata draw in the sorted order of
+    those strings ("10" before "2"), and each contributes
+    round(fraction * stratum_size) rows (half up).
     """
     from .rng import Rng  # only sampling draws, so eval and plot never load it
 
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
-    missing = [i for i in matrix.ids if i not in labels]
-    if missing:
-        raise DataError(f"id {missing[0]!r} has no label for stratified sampling")
+    strata = np.asarray(strata)
+    if strata.shape != (matrix.n,):
+        raise DataError(f"expected {matrix.n} strata, one per row, got shape {strata.shape}")
     by_class: dict[str, list[int]] = {}
-    for r, i in enumerate(matrix.ids):
-        by_class.setdefault(str(labels[i]), []).append(r)
+    for r, stratum in enumerate(strata.tolist()):
+        by_class.setdefault(str(stratum), []).append(r)
     rng = Rng(seed)
     chosen: list[int] = []
     for cls in sorted(by_class):
         rows = by_class[cls]
-        want = int(np.floor(fraction * len(rows) + 0.5))
-        want = min(want, len(rows))
+        want = int(np.floor(fraction * len(rows) + 0.5))  # at most len(rows): fraction <= 1
         if want == 0:
             continue
-        pool = list(rows)
-        picks = rng.below_each(np.arange(len(pool), len(pool) - want, -1))
+        picks = rng.below_each(np.arange(len(rows), len(rows) - want, -1))
         for i, pick in enumerate(picks):
             j = i + pick
-            pool[i], pool[j] = pool[j], pool[i]
-        chosen.extend(pool[:want])
+            rows[i], rows[j] = rows[j], rows[i]
+        chosen.extend(rows[:want])
     if not chosen:
         raise DataError("stratified sample selected no rows; fraction too small")
     chosen.sort()

@@ -204,26 +204,27 @@ def evaluate(
 ) -> EvalReport:
     """Score a clustering; accuracy entries appear only when truth is given.
 
-    ``style_truth`` and ``genre_truth`` are (row_indices, class_indices)
-    pairs covering the labeled subset, as produced by
-    ``dataio.labels_for``.
+    ``style_truth`` and ``genre_truth`` hold one class index per row of
+    ``points``, -1 where the row has no label, as ``dataio.labels_for``
+    returns them.
     """
     points, labels = _check_points_labels(points, labels)
 
-    def acc(pair):
-        if pair is None:
+    def acc(truth):
+        if truth is None:
             return None
-        rows, classes = pair
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return None
-        return clustering_accuracy(np.asarray(classes), labels[rows])
+        truth = np.asarray(truth, dtype=np.int64)
+        if truth.shape != labels.shape:
+            raise ShapeError(f"truth shape {truth.shape} does not match {labels.shape[0]} labels")
+        labeled = truth >= 0
+        return clustering_accuracy(truth[labeled], labels[labeled]) if labeled.any() else None
 
+    acc_style, acc_genre = acc(style_truth), acc(genre_truth)  # a bad shape fails first
     return EvalReport(
         sc=silhouette(points, labels),
         chi=calinski_harabasz(points, labels),
-        acc_style=acc(style_truth),
-        acc_genre=acc(genre_truth),
+        acc_style=acc_style,
+        acc_genre=acc_genre,
         k=len(np.unique(labels, return_counts=True)[0]),
         n=int(points.shape[0]),
         space_tag=space_tag,

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -21,10 +22,10 @@ from delius.dataio import (
     FeatureMapBlock,
     FeatureMatrix,
     global_average_pool,
+    labels_for,
     read_assignments,
     read_features,
     read_label_manifest,
-    truth_labels,
     write_assignments,
     write_feature_maps,
     write_features,
@@ -265,7 +266,8 @@ def test_baseline_report_is_the_eval_stage_on_its_points(workspace, tmp_path, st
          "--seed", "7"] + flags
     )
     assert code == 0
-    style, genre = truth_labels(read_label_manifest(workspace["manifest"]), fm)
+    manifest = read_label_manifest(workspace["manifest"])
+    style, genre = (labels_for(manifest, fm.ids, column) for column in ("style", "genre"))
     expected = evaluate(points, labels, tag, style_truth=style, genre_truth=genre).to_json()
     assert out.read_text() == expected
     # ... which is what ``eval`` writes for those points and labels
@@ -935,6 +937,54 @@ def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "--out-assignments and --out-history both name" in err
     assert not list(tmp_path.glob("*.out*"))
+
+
+def _files(directory):
+    return {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["eval", "run"])
+def test_output_naming_an_input_exit_2_before_load(workspace, tmp_path, capsys, command):
+    # The write would replace the input the command read, and the manifest
+    # would record the artifact's digest as the input's.
+    if command == "eval":
+        points = shutil.copyfile(workspace["embedded"], tmp_path / "p.delf")
+        target = shutil.copyfile(workspace["assignments"], tmp_path / "a.csv")
+        argv, label, flag = ["eval", "--points", str(points), "--assignments", str(target),
+                             "--out", str(target)], "--out", "--assignments"
+    else:
+        (tmp_path / "out").mkdir()
+        target = shutil.copyfile(workspace["features"], tmp_path / "out" / "embedded.delf")
+        argv, label, flag = ["run", "--features", str(target), "--outdir", str(tmp_path / "out"),
+                             *PRETRAIN_FLAGS, *CLUSTER_FLAGS], "--outdir", "--features"
+    before = _files(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{label}: {target} is the {flag} input" in err and "load stage" not in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, outputs, message", [
+    ("cluster", ["--out-assignments", "a.csv", "--out-checkpoint", "a.csv.history.csv"],
+     "--out-checkpoint and --out-history (default) both name a.csv.history.csv"),
+    ("pretrain", ["--out-checkpoint", "ae.delc", "--out-loss-curve", "ae.delc.manifest.json"],
+     "--out-loss-curve and the manifest both name ae.delc.manifest.json"),
+])
+def test_default_output_or_manifest_naming_another_output_exit_2(
+    workspace, tmp_path, capsys, monkeypatch, command, outputs, message
+):
+    # A left-out flag's default path and the manifest are written as well,
+    # so they join the check that no two outputs name one file.
+    monkeypatch.chdir(tmp_path)
+    inputs = ["--features", workspace["features"]]
+    if command == "cluster":
+        inputs += ["--ae-checkpoint", workspace["ae"], *CLUSTER_FLAGS]
+    else:
+        inputs += PRETRAIN_FLAGS
+    assert main([command, *inputs, *outputs]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "load stage" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unreadable_id_sidecar_exit_2(tmp_path):

@@ -351,8 +351,8 @@ def test_manifest_parse_and_dense_indices(tmp_path):
     )
     manifest = read_label_manifest(path)
     assert manifest.class_names("style") == ("cubism", "impressionism")
-    assert manifest.label_map("style") == {"a": 1, "b": 0, "c": 1}
-    assert manifest.label_map("genre") == {"a": 0, "c": 1}
+    assert labels_for(manifest, ("a", "b", "c"), "style").tolist() == [1, 0, 1]
+    assert labels_for(manifest, ("a", "b", "c"), "genre").tolist() == [0, -1, 1]
 
 
 def test_manifest_requires_exact_header(tmp_path):
@@ -369,18 +369,16 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_labels_for_selects_labeled_rows():
-    manifest = LabelManifest(rows=(("a", "s1", None), ("c", "s2", None)))
-    m = _matrix(np.zeros((3, 2)), ids=("a", "b", "c"))
-    rows, classes = labels_for(manifest, m, "style")
-    assert rows.tolist() == [0, 2]
-    assert classes.tolist() == [0, 1]
+    manifest = LabelManifest(rows=(("a", "s1", None), ("c", "s2", None), ("d", None, "g")))
+    labels = labels_for(manifest, ("a", "b", "c", "d"), "style")
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, -1, 1, -1]
 
 
 def test_labels_for_unknown_column():
     manifest = LabelManifest(rows=(("a", "s1", None),))
-    m = _matrix(np.zeros((1, 2)), ids=("a",))
     with pytest.raises(ConfigError):
-        labels_for(manifest, m, "era")
+        labels_for(manifest, ("a",), "era")
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +442,12 @@ def test_read_assignments_rejects_label_beyond_int64(tmp_path):
 
 
 def _labeled_matrix(counts):
-    rows = []
-    ids = []
-    labels = {}
-    r = 0
-    for cls, count in counts.items():
-        for _ in range(count):
-            rows.append([float(r), float(r) + 0.5])
-            ids.append(f"{cls}{r}")
-            labels[f"{cls}{r}"] = cls
-            r += 1
-    return _matrix(np.array(rows), ids=tuple(ids)), labels
+    """A matrix whose rows are grouped by stratum, ids ``<stratum><row>``, and
+    the stratum of each row."""
+    strata = [cls for cls, count in counts.items() for _ in range(count)]
+    rows = [[float(r), float(r) + 0.5] for r in range(len(strata))]
+    ids = tuple(f"{cls}{r}" for r, cls in enumerate(strata))
+    return _matrix(np.array(rows), ids=ids), strata
 
 
 def test_stratified_counts_per_class():
@@ -462,7 +455,7 @@ def test_stratified_counts_per_class():
     out = stratified_sample(m, labels, 0.5, seed=3)
     got = {"a": 0, "b": 0}
     for i in out.ids:
-        got[labels[i]] += 1
+        got[labels[m.ids.index(i)]] += 1
     assert got == {"a": 30, "b": 20}
 
 
@@ -496,11 +489,25 @@ def test_stratified_deterministic_and_seed_sensitive():
     assert first.ids != other.ids
 
 
-def test_stratified_missing_label_rejected():
+def test_stratified_strata_of_wrong_length_rejected():
+    # One stratum per row: a missing or extra one is an error, never a shift.
     m, labels = _labeled_matrix({"a": 4})
-    del labels[m.ids[2]]
-    with pytest.raises(DataError, match=m.ids[2]):
-        stratified_sample(m, labels, 0.5, seed=0)
+    for strata in (labels[:-1], labels + ["a"], np.array([labels])):
+        with pytest.raises(DataError, match="expected 4 strata"):
+            stratified_sample(m, strata, 0.5, seed=0)
+
+
+def test_stratified_strata_draw_in_string_order():
+    # Strata draw in the sorted order of their str keys, so integer strata
+    # 10 and 11 come before 2; xy.csv bytes depend on that order.
+    counts = {s: 3 + s for s in range(12)}
+    m, strata = _labeled_matrix(counts)
+    by_name = {s: "abcdefghijkl"[rank] for rank, s in enumerate(sorted(counts, key=str))}
+    as_names = [by_name[s] for s in strata]
+    for seed in range(5):
+        out = stratified_sample(m, np.array(strata), 0.5, seed=seed)
+        assert out.ids == stratified_sample(m, as_names, 0.5, seed=seed).ids
+        assert out.ids == stratified_sample(m, [str(s) for s in strata], 0.5, seed=seed).ids
 
 
 def test_stratified_bad_fraction():

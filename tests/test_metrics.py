@@ -400,9 +400,9 @@ def test_evaluate_collects_all_fields():
     points, labels = _instance(11, n=20, k=3)
     truth_rows = np.arange(10)
     truth_classes = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 0])
-    report = evaluate(
-        points, labels, "embedded", style_truth=(truth_rows, truth_classes)
-    )
+    style = np.full(20, -1)
+    style[truth_rows] = truth_classes
+    report = evaluate(points, labels, "embedded", style_truth=style)
     assert report.space_tag == "embedded"
     assert report.n == 20
     assert report.k == len(set(labels.tolist()))
@@ -410,6 +410,22 @@ def test_evaluate_collects_all_fields():
     assert report.acc_genre is None
     expected_acc = clustering_accuracy(truth_classes, labels[truth_rows])
     assert report.acc_style == pytest.approx(expected_acc)
+
+
+def test_evaluate_truth_must_align_with_rows():
+    points, labels = _instance(12, n=20, k=3)
+    for truth in (np.zeros(19, dtype=np.int64), np.zeros(21, dtype=np.int64),
+                  np.zeros((20, 1), dtype=np.int64)):
+        with pytest.raises(ShapeError, match="truth shape"):
+            evaluate(points, labels, "embedded", genre_truth=truth)
+
+
+def test_evaluate_without_labeled_rows_reports_no_accuracy():
+    points, labels = _instance(13, n=20, k=3)
+    report = evaluate(points, labels, "embedded", style_truth=np.full(20, -1),
+                      genre_truth=np.zeros(20, dtype=np.int64))
+    assert report.acc_style is None
+    assert report.acc_genre == pytest.approx(clustering_accuracy(np.zeros(20), labels))
 
 
 def test_report_json_schema_and_infinity():
