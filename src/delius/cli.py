@@ -24,11 +24,15 @@ Conventions shared by every subcommand:
 * a handler builds its configs before it reads any input, and each
   config checks itself when built, so a bad flag value exits 2 first;
 * main() checks every output before the handler runs, the defaults of
-  left-out output flags and the manifest included: a file in a missing
-  directory, a path that is a directory, two outputs naming one file, or
-  an output naming an input file exits 2 before any work;
-* every input is read in the ``load`` stage, so an unreadable or
-  malformed input is reported as "<command>: load stage failed";
+  left-out output flags, the manifest and the id sidecar of a binary
+  output included: a file in a missing directory, a path that is a
+  directory, two outputs naming one file, or an output naming an input
+  file or its id sidecar exits 2 before any work;
+* an error inside a stage is reported as "delius <command>: <stage>
+  stage failed: ...", and every input is read in the ``load`` stage, so
+  an unreadable or malformed input is reported as "<command>: load stage
+  failed"; an error before any stage (a flag value, an output check)
+  names no stage: "delius <command>: ...";
 * artifacts are written under a ``.partial`` suffix and renamed on
   stage success, so a crashed stage leaves only ``.partial`` files.
 
@@ -77,42 +81,62 @@ _RUN_ARTIFACTS = dict(
 )
 
 
+# The binary feature output of each command that writes one; its id
+# sidecar, ``<path>.ids``, is written beside it.
+_BINARY_OUTPUT = {"gap": "out", "cluster": "out_embedded", "run": "embedded"}
+
+
 def _outputs(args: argparse.Namespace) -> dict[str, str]:
     """Every file the command writes: each output flag's, a left-out flag's
-    default, and ``manifest``, keyed by dest; ``run``'s by ``_RUN_ARTIFACTS``."""
+    default, ``manifest`` and a binary output's id sidecar (``<dest>.ids``),
+    keyed by dest; ``run``'s by ``_RUN_ARTIFACTS``."""
     if args.command == "run":
-        return {key: os.path.join(args.outdir, name) for key, name in _RUN_ARTIFACTS.items()}
-    paths = {name: getattr(args, name) for name in _OUTPUT_FLAGS if getattr(args, name, None)}
-    if args.command == "pretrain":
-        paths.setdefault("out_loss_curve", args.out_checkpoint + ".loss.csv")
-    if args.command == "cluster":
-        paths.setdefault("out_history", args.out_assignments + ".history.csv")
-    main_output = {"pretrain": "out_checkpoint", "cluster": "out_assignments"}.get(args.command)
-    paths["manifest"] = paths[main_output or "out"] + ".manifest.json"
+        paths = {key: os.path.join(args.outdir, name) for key, name in _RUN_ARTIFACTS.items()}
+    else:
+        paths = {name: getattr(args, name) for name in _OUTPUT_FLAGS if getattr(args, name, None)}
+        if args.command == "pretrain":
+            paths.setdefault("out_loss_curve", args.out_checkpoint + ".loss.csv")
+        if args.command == "cluster":
+            paths.setdefault("out_history", args.out_assignments + ".history.csv")
+        main_output = {"pretrain": "out_checkpoint", "cluster": "out_assignments"}.get(args.command)
+        paths["manifest"] = paths[main_output or "out"] + ".manifest.json"
+    binary = _BINARY_OUTPUT.get(args.command)
+    if binary in paths:
+        paths[binary + ".ids"] = paths[binary] + ".ids"
     return paths
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse, before any input is read, an output whose file cannot or must not be made.
 
     The file's directory must exist (``run`` makes its --outdir later) and
-    the path must not be a directory.  An output naming an input file or
-    another output is refused too, since its write would replace that
-    file.  What only the write can show, such as a full disk,
-    ``_artifact`` reports.
+    the path must not be a directory.  An output naming an input file,
+    an input's id sidecar or another output is refused too, since its
+    write would replace that file.  What only the write can show, such as
+    a full disk, ``_artifact`` reports.
     """
     from .errors import ConfigError
 
-    inputs = {os.path.realpath(path): "--" + name.replace("_", "-")
-              for name in _INPUT_FLAGS if (path := getattr(args, name, None))}
+    inputs = {}
+    for name in _INPUT_FLAGS:
+        if path := getattr(args, name, None):
+            inputs.setdefault(os.path.realpath(path), f"the {_flag(name)} input")
+            inputs.setdefault(os.path.realpath(path + ".ids"),
+                              f"the id sidecar of the {_flag(name)} input")
     named = {}
     for key, path in _outputs(args).items():
         if args.command == "run":
             label = "--outdir"
         elif key == "manifest":
             label = "the manifest"
+        elif key.endswith(".ids"):
+            label = f"the id sidecar of {_flag(key[:-4])}"
         else:
-            label = "--" + key.replace("_", "-") + ("" if getattr(args, key) else " (default)")
+            label = _flag(key) + ("" if getattr(args, key) else " (default)")
         directory = os.path.dirname(path) or os.curdir
         if args.command != "run" and not os.path.isdir(directory):
             raise ConfigError(f"{label}: cannot write {path}: {directory} is not an existing directory")
@@ -120,7 +144,7 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise ConfigError(f"{label}: cannot write {path}: it is a directory")
         real = os.path.realpath(path)
         if real in inputs:
-            raise ConfigError(f"{label}: {path} is the {inputs[real]} input; give another file")
+            raise ConfigError(f"{label}: {path} is {inputs[real]}; give another file")
         other = named.setdefault(real, label)
         if other != label:
             raise ConfigError(f"{other} and {label} both name {path}; give each its own file")
@@ -729,8 +753,8 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(_outputs(args)["manifest"], args, started)
     except DeliusError as exc:
-        stage = _stage.name or args.command
-        print(f"delius {args.command}: {stage} stage failed: {exc}", file=sys.stderr)
+        stage = f"{_stage.name} stage failed: " if _stage.name else ""
+        print(f"delius {args.command}: {stage}{exc}", file=sys.stderr)
         return exc.exit_code
     return 0
 

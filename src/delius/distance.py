@@ -1,9 +1,9 @@
 """Squared Euclidean distances: the one kernel every clustering step shares.
 
-Three forms, each documenting the contract its callers rely on:
-point-to-centre, with the Lloyd assignment that screens for it;
-all-pairs, streamed in row blocks; and the all-pairs form shifted by
-one, ``1 + d^2`` from a single GEMM per block, for the t-SNE kernel.
+Two forms, each documenting the contract its callers rely on:
+point-to-centre, with the Lloyd assignment that screens for it; and
+all-pairs, one GEMM per row block with an optional constant shift, for
+silhouette, the t-SNE affinities and the t-SNE kernel ``1 + d^2``.
 This module imports nothing else from the package, so any module may
 use it.
 """
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Bytes per row block of the all-pairs passes.  Three buffers this size
-# fit in a 2 MiB L2 cache: a block of distances, its pair sums and
-# silhouette's bin index for it, or t-SNE's kernel block and its product
-# with the affinities.  Blocks never go below 8 rows, so above
-# n = 8192 they outgrow it: silhouette then holds 8 rows of n per buffer.
+# Bytes per row block of the all-pairs passes.  Two or three buffers this
+# size fit in a 2 MiB L2 cache: a block of distances and silhouette's bin
+# index for it, or t-SNE's kernel block and its product with the
+# affinities.  Blocks never go below 8 rows, so above n = 8192 they
+# outgrow it: silhouette then holds 8 rows of n per buffer.
 BLOCK_BYTES = 1 << 19
 
 
@@ -108,78 +108,41 @@ def block_rows(n: int) -> int:
     return min(max(8, BLOCK_BYTES // (8 * n) // 8 * 8), n)
 
 
-def sq_distance_blocks(points: np.ndarray, out: np.ndarray | None = None):
-    """All pairwise squared Euclidean distances, clipped at 0, zero diagonal,
-    yielding ``(start, rows)`` for each block of rows as it is finished,
-    while it is still in cache.
+def sq_distance_blocks(points: np.ndarray, out: np.ndarray, shift: float = 0.0):
+    """All pairwise squared Euclidean distances plus ``shift``, clipped at
+    ``shift`` with a diagonal of exactly ``shift``, yielding ``(start, rows)``
+    for each block of ``block_rows(n)`` rows as it is finished, while it is
+    still in cache.
 
-    Each block's Gram rows are doubled and written back as
-    ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j``, clipped and with its diagonal
-    zeroed: the same float operations in the same order as the
-    whole-matrix broadcast.  With ``out`` (``joint_affinities``) the Gram
-    matrix is one whole ``points @ points.T`` written into ``out``, and
-    ``rows`` is a block of it.  Without (silhouette) each block's Gram
-    rows are one GEMM ``points[s:s+m] @ points.T`` into a reusable
-    buffer, so memory is O(block * n) and ``rows`` is valid until the
-    next block.  Blocks are ``block_rows(n)`` rows tall, so when n is
-    a multiple of 8 the streamed rows equal the whole product's bit for
-    bit; otherwise the last n mod 8 rows and their mirror columns can
-    differ in the last bits.
-    """
-    n = points.shape[0]
-    sq = np.einsum("nd,nd->n", points, points)
-    step = block_rows(n)
-    scratch = np.empty((step, n))
-    if out is None:
-        gram = np.empty_like(scratch)
-    else:
-        np.matmul(points, points.T, out=out)
-    for start in range(0, n, step):
-        m = min(step, n - start)
-        if out is None:
-            rows = np.matmul(points[start : start + m], points.T, out=gram[:m])
-        else:
-            rows = out[start : start + m]
-        block = scratch[:m]
-        rows *= 2.0
-        np.add(sq[start : start + m, None], sq[None, :], out=block)
-        np.subtract(block, rows, out=rows)
-        np.maximum(rows, 0.0, out=rows)
-        np.fill_diagonal(rows[:, start : start + m], 0.0)
-        yield start, rows
-
-
-def shifted_sq_distance_blocks(points: np.ndarray, buffer: np.ndarray):
-    """One plus all pairwise squared Euclidean distances, clipped at 1, with a
-    diagonal of exactly 1, yielding ``(start, rows)`` for each block of
-    ``block_rows(n)`` rows; ``rows`` is valid until the next block.
-
-    Each block is one GEMM of the rows ``[x_i, 1 + |x_i|^2, 1]`` against
-    the pre-transposed, C-contiguous columns ``[-2 x_j, 1, |x_j|^2]``, an
-    inner dimension of d + 2, so the whole sum is formed inside the
-    product in the BLAS's order.  The entries are therefore not bit-equal
-    to one plus ``sq_distance_blocks``'s: they agree within the rounding
-    of a length-(d + 2) dot product of magnitude ``1 + |x_i|^2 + |x_j|^2``.
-    The t-SNE gradient takes its Student-t kernel ``1 / (1 + d^2)`` from
-    these blocks, at O(block * n) memory.  The blocks are written into
-    ``buffer``, a C-contiguous ``block_rows(n)`` x n array that a caller
-    making many passes reuses: a fresh half-MiB buffer on every pass is
-    trimmed and re-faulted by glibc each time.
+    Each block is one GEMM of the rows ``[x_i, |x_i|^2 + shift, 1]``
+    against the pre-transposed, C-contiguous columns ``[-2 x_j, 1, |x_j|^2]``,
+    an inner dimension of d + 2, so the whole sum is formed inside the
+    product in the BLAS's order: an entry lies within the rounding of a
+    length-(d + 2) dot product of magnitude ``shift + |x_i|^2 + |x_j|^2``
+    of the exact value.  If ``out`` has n rows, each block is written into
+    its own rows of it (``joint_affinities``, which overwrites them);
+    otherwise ``out`` is a C-contiguous ``block_rows(n)`` x n buffer that
+    every block reuses, so ``rows`` is valid until the next block and
+    memory is O(block * n).  A caller making many passes keeps its buffer:
+    a fresh half-MiB one on every pass is trimmed and re-faulted by glibc
+    each time.
     """
     n, d = points.shape
     sq = np.einsum("nd,nd->n", points, points)
     left = np.empty((n, d + 2))
     left[:, :d] = points
-    np.add(sq, 1.0, out=left[:, d])
+    np.add(sq, shift, out=left[:, d])
     left[:, d + 1] = 1.0
     right = np.empty((d + 2, n))
     np.multiply(points.T, -2.0, out=right[:d])  # scaling by -2 is exact
     right[d] = 1.0
     right[d + 1] = sq
     step = block_rows(n)
+    whole = out.shape[0] == n
     for start in range(0, n, step):
         m = min(step, n - start)
-        rows = np.matmul(left[start : start + m], right, out=buffer[:m])
-        np.maximum(rows, 1.0, out=rows)
-        np.fill_diagonal(rows[:, start : start + m], 1.0)
+        rows = out[start : start + m] if whole else out[:m]
+        np.matmul(left[start : start + m], right, out=rows)
+        np.maximum(rows, shift, out=rows)
+        np.fill_diagonal(rows[:, start : start + m], shift)
         yield start, rows

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import sq_distance_blocks
+from .distance import block_rows, sq_distance_blocks
 from .errors import ConfigError, DataError, ShapeError
 
 
@@ -42,10 +42,9 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     A point's distance sum to each cluster adds that cluster's members
     one at a time in index order: one weighted ``bincount`` per block of
     rows, with a bin for every (row, cluster) pair, taken as each block
-    of distances is finished.  The blocks are streamed from the points,
-    so memory is O(block * n) beside the n x k sums; no n x n array is
-    made.  When n is not a multiple of 8 the score can differ in its last
-    bits from one computed from the whole ``points @ points.T``.
+    of distances is finished.  The blocks come from
+    ``distance.sq_distance_blocks`` into one reused block buffer, so
+    memory is O(block * n) beside the n x k sums; no n x n array is made.
     """
     points, labels = _check_points_labels(points, labels)
     n = points.shape[0]
@@ -53,12 +52,11 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     k = len(clusters)
     if not 2 <= k <= n - 1:
         raise ConfigError(f"silhouette needs 2 <= clusters <= n - 1, got k={k}, n={n}")
-    bins = None
+    step = block_rows(n)
+    bins = own + k * np.arange(step)[:, None]
     sums = np.empty((n, k))
-    for start, rows in sq_distance_blocks(points):
+    for start, rows in sq_distance_blocks(points, np.empty((step, n))):
         m = rows.shape[0]
-        if bins is None:  # the first block is the tallest
-            bins = own + k * np.arange(m)[:, None]
         np.sqrt(rows, out=rows)
         sums[start : start + m] = np.bincount(
             bins[:m].ravel(), weights=rows.ravel(), minlength=m * k

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import block_rows, shifted_sq_distance_blocks, sq_distance_blocks
+from .distance import block_rows, sq_distance_blocks
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .rng import Rng
 
@@ -208,10 +208,12 @@ def joint_affinities(points: np.ndarray, perplexity: float) -> np.ndarray:
 
     The per-point bandwidth is bisected until the conditional
     distribution's entropy matches log(perplexity), every row of a block
-    at once.  Each row's distribution overwrites its distances as each
-    block of rows is finished, and the symmetrisation works in place, so
-    the distances, the distributions and the result share one n x n
-    array beside O(block * n) temporaries.
+    at once.  ``distance.sq_distance_blocks`` writes each block of
+    distances into its own rows of the result, one GEMM per block, and
+    each row's distribution overwrites its distances while the block is
+    still in cache; the symmetrisation works in place, so the distances,
+    the distributions and the result share one n x n array beside
+    O(block * n) temporaries.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -259,7 +261,7 @@ def _tsne_gradient(
         work = np.empty((2, block_rows(n), n))
     z = 0.0
     p_log_p = p_log_w = p_sum = 0.0
-    for start, w in shifted_sq_distance_blocks(y, work[0]):
+    for start, w in sq_distance_blocks(y, work[0], shift=1.0):
         stop = start + w.shape[0]
         np.divide(1.0, w, out=w)
         np.fill_diagonal(w[:, start:stop], 0.0)

@@ -104,6 +104,40 @@ def pca_fit_thin_svd(points: np.ndarray, r: int) -> PcaModel:
     return PcaModel(mean=mean, components=components)
 
 
+def distance_blocks_longhand(points: np.ndarray, shift: float = 0.0):
+    """``distance.sq_distance_blocks`` written out longhand, a fresh array per block.
+
+    Yields ``(start, rows)`` for blocks of the largest multiple of 8 rows
+    (at least 8, at most n) within 512 KiB of doubles: one GEMM of
+    ``[x, |x|^2 + shift, 1]`` against ``[-2x, 1, |x|^2]``, clipped at
+    ``shift``, with a diagonal of ``shift``.  Both operands are C-ordered,
+    as the kernel's: ``vstack`` of ``x.T`` is F-ordered, and the product's
+    last bits follow the layout.
+    """
+    n = points.shape[0]
+    sq = np.einsum("nd,nd->n", points, points)
+    left = np.column_stack([points, sq + shift, np.ones(n)])
+    right = np.ascontiguousarray(np.vstack([-2.0 * points.T, np.ones(n), sq]))
+    step = min(max(8, (1 << 19) // (8 * n) // 8 * 8), n)
+    for start in range(0, n, step):
+        rows = np.maximum(left[start : start + step] @ right, shift)
+        np.fill_diagonal(rows[:, start:], shift)
+        yield start, rows
+
+
+def distance_matrix_longhand(points: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """The n x n matrix of ``distance_blocks_longhand``'s blocks."""
+    return np.vstack([rows for _, rows in distance_blocks_longhand(points, shift)])
+
+
+def long_double_sq_distances(points: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Squared distances from rows ``start:stop`` to every row, from direct
+    coordinate differences in extended precision."""
+    x = points.astype(np.longdouble)
+    diff = x[start:stop, None, :] - x[None, :, :]
+    return np.einsum("ijd,ijd->ij", diff, diff)
+
+
 def normal_whole_block(rng, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     """Frozen copy of ``Rng.normal`` before the chunked transform.
 

@@ -987,6 +987,75 @@ def test_default_output_or_manifest_naming_another_output_exit_2(
     assert not list(tmp_path.iterdir())
 
 
+def test_output_naming_an_input_sidecar_exit_2_before_load(tmp_path, capsys):
+    # The projection would replace the ids of f.delf's 30 rows, and the
+    # next read of f.delf would fail on the sidecar's line count.
+    features = tmp_path / "f.delf"
+    write_features(FeatureMatrix.from_array(Rng(35).normal((30, 4)),
+                                            tuple(f"r{i}" for i in range(30))), str(features))
+    before = _files(tmp_path)
+    argv = ["project", "--features", str(features), "--method", "pca",
+            "--out", str(features) + ".ids"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--out: {features}.ids is the id sidecar of the --features input" in err
+    assert "load stage" not in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["gap", "cluster", "run"])
+def test_binary_output_sidecar_is_an_output(workspace, tmp_path, capsys, monkeypatch, command):
+    # A binary output writes its ids beside it, so that sidecar must name
+    # neither an input nor another output.
+    monkeypatch.chdir(tmp_path)
+    if command == "gap":
+        maps = tmp_path / "p.delf.ids"
+        write_feature_maps(FeatureMapBlock(values=np.ones((2, 3, 4))), str(maps))
+        argv = ["gap", "--maps", str(maps), "--out", "p.delf"]
+        message = "the id sidecar of --out: p.delf.ids is the --maps input"
+    elif command == "cluster":
+        argv = ["cluster", "--features", workspace["features"], "--ae-checkpoint", workspace["ae"],
+                *CLUSTER_FLAGS, "--out-assignments", "a.csv", "--out-checkpoint", "m.delc",
+                "--out-embedded", "e.delf", "--out-history", "e.delf.ids"]
+        message = "--out-history and the id sidecar of --out-embedded both name e.delf.ids"
+    else:
+        (tmp_path / "out").mkdir()
+        labels = shutil.copyfile(workspace["manifest"], tmp_path / "out" / "embedded.delf.ids")
+        argv = ["run", "--features", workspace["features"], "--labels-manifest", str(labels),
+                "--outdir", "out", *PRETRAIN_FLAGS, *CLUSTER_FLAGS]
+        message = f"--outdir: out{os.sep}embedded.delf.ids is the --labels-manifest input"
+    before = _files(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "load stage" not in err
+    assert _files(tmp_path) == before
+
+
+def test_error_before_any_stage_names_no_stage(workspace, tmp_path, capsys):
+    target = shutil.copyfile(workspace["assignments"], tmp_path / "a.csv")
+    argv = ["eval", "--points", workspace["embedded"], "--assignments", str(target),
+            "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"delius eval: --out: {target} is the --assignments input; give another file"
+    )
+    blocked = tmp_path / "file"
+    blocked.write_bytes(b"")
+    argv = ["run", "--features", workspace["features"], "--outdir", str(blocked / "out"),
+            *PRETRAIN_FLAGS, *CLUSTER_FLAGS]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"delius run: cannot write {blocked / 'out'}: ")
+
+
+def test_error_inside_a_stage_names_the_stage(tmp_path, capsys):
+    points = tmp_path / "p.delf"
+    points.write_bytes(b"XXXX" + bytes(20))
+    argv = ["project", "--features", str(points), "--method", "pca",
+            "--out", str(tmp_path / "xy.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("delius project: load stage failed: ")
+
+
 def test_unreadable_id_sidecar_exit_2(tmp_path):
     path = tmp_path / "rows.delf"
     write_features(FeatureMatrix.from_array(Rng(34).normal((20, 4))), str(path))

@@ -15,7 +15,12 @@ from delius import distance
 from delius.distance import nearest_centres, sq_distances
 from delius.kmeans import kmeans_fit
 from delius.rng import Rng
-from oracles import traced_peak
+from oracles import (
+    distance_blocks_longhand,
+    distance_matrix_longhand,
+    long_double_sq_distances,
+    traced_peak,
+)
 
 
 def test_tie_goes_to_lowest_index():
@@ -83,7 +88,12 @@ def test_sq_distances_holds_its_result_and_one_difference():
 @pytest.mark.parametrize("n", [7, 257, 848, 1001, 8193])
 def test_streamed_blocks_are_multiples_of_eight_rows(n):
     points = Rng(n).normal((n, 2))
-    heights = [rows.shape[0] for _, rows in distance.sq_distance_blocks(points)]
+    buffer = np.empty((distance.block_rows(n), n))
+    blocks = zip(distance.sq_distance_blocks(points, buffer), distance_blocks_longhand(points))
+    heights = []
+    for (start, rows), (start2, longhand) in blocks:
+        assert start == start2 and np.array_equal(rows, longhand)
+        heights.append(rows.shape[0])
     assert sum(heights) == n
     assert all(h % 8 == 0 for h in heights[:-1])
     assert heights[-1] % 8 == 0 or n % 8 != 0
@@ -92,29 +102,75 @@ def test_streamed_blocks_are_multiples_of_eight_rows(n):
 
 def test_streamed_blocks_never_shrink_below_eight_rows():
     points = Rng(70_000).normal((70_000, 2))
-    start, rows = next(distance.sq_distance_blocks(points))
+    assert distance.block_rows(70_000) == 8
+    start, rows = next(distance.sq_distance_blocks(points, np.empty((8, 70_000))))
     assert start == 0 and rows.shape == (8, 70_000)
+    assert np.array_equal(rows, next(distance_blocks_longhand(points))[1])
 
 
 @pytest.mark.parametrize("n, scale", [(7, 1.0), (257, 1.0), (600, 50.0)])
 def test_shifted_blocks_are_one_plus_the_distances(n, scale):
-    # Clipped at 1 with a diagonal of exactly 1, in the all-pairs blocks'
-    # heights, and within the Gram form's rounding of 1 + d^2: a few u of
-    # 1 + |x_i|^2 + |x_j|^2, not bit-equal to sq_distance_blocks.
+    # The shift goes inside the GEMM, so shift 1 is the longhand's bits at
+    # shift 1, and one plus the shift-0 blocks only within the rounding of
+    # both: a few u of 1 + |x_i|^2 + |x_j|^2.
     points = scale * Rng(n).normal((n, 3))
     points[3] = points[0]  # a duplicate row: an exact zero distance
     sq = np.einsum("nd,nd->n", points, points)
     u = np.finfo(np.float64).eps / 2
     buffer = np.empty((distance.block_rows(n), n))
-    shifted = distance.shifted_sq_distance_blocks(points, buffer)
-    for (start, rows), (start2, d2) in zip(shifted, distance.sq_distance_blocks(points)):
+    shifted = distance.sq_distance_blocks(points, buffer, shift=1.0)
+    longhand = distance_blocks_longhand(points, shift=1.0)
+    plain = distance.sq_distance_blocks(points, np.empty_like(buffer))
+    for (start, rows), (start1, exact_bits), (start0, d2) in zip(shifted, longhand, plain):
         m = rows.shape[0]
-        assert start == start2 and rows.shape == d2.shape
+        assert start == start1 == start0 and rows.shape == d2.shape
         assert np.shares_memory(rows, buffer)
+        assert np.array_equal(rows, exact_bits)
         assert rows.min() >= 1.0
         assert np.all(np.diagonal(rows[:, start : start + m]) == 1.0)
         bound = 16 * u * (1.0 + sq[start : start + m, None] + sq[None, :])
         assert np.all(np.abs(rows - (1.0 + d2)) <= bound)
+
+
+# 7 fits one block; 1001 takes fifteen blocks of 64 and a short one of 41.
+@pytest.mark.parametrize("n", [7, 1001])
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_all_pairs_kernel_contract(n, shift):
+    points = Rng(n + 7).normal((n, 5))
+    points[n // 2] = points[1]  # a duplicate row: an exact zero distance
+    step = distance.block_rows(n)
+    whole, buffer = np.full((n, n), np.nan), np.empty((step, n))
+    expected = distance_matrix_longhand(points, shift)
+    for out in (whole, buffer):
+        starts = []
+        for start, rows in distance.sq_distance_blocks(points, out, shift):
+            m = rows.shape[0]
+            starts.append(start)
+            assert m == min(step, n - start) and (m % 8 == 0 or start + m == n)
+            assert np.shares_memory(rows, out)
+            assert rows.min() >= shift
+            assert np.all(np.diagonal(rows[:, start : start + m]) == shift)
+            assert np.array_equal(rows, expected[start : start + m])
+        assert starts == list(range(0, n, step))
+    assert np.array_equal(whole, expected)  # every block stayed in its own rows
+
+
+# Coordinates spread to +-50 and duplicate rows: the entries near zero
+# carry the whole absolute error of the large terms they cancel.
+@pytest.mark.parametrize("n, d", [(9, 1), (300, 3), (1001, 10)])
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_all_pairs_kernel_within_rounding_of_long_double(n, d, shift):
+    rng = np.random.default_rng(n + d)
+    points = rng.uniform(-50.0, 50.0, size=(n, d))
+    points[rng.integers(0, n, n // 4)] = points[0]
+    sq = np.einsum("nd,nd->n", points, points)
+    u = np.finfo(np.float64).eps / 2
+    buffer = np.empty((distance.block_rows(n), n))
+    for start, rows in distance.sq_distance_blocks(points, buffer, shift):
+        stop = start + rows.shape[0]
+        exact = long_double_sq_distances(points, start, stop) + shift
+        bound = 16 * u * (shift + sq[start:stop, None] + sq[None, :])
+        assert np.all(np.abs(rows - exact) <= bound)
 
 
 def test_distance_module_sits_below_its_callers():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delius.distance import sq_distance_blocks
+from delius.distance import block_rows, sq_distance_blocks
 from delius.errors import ConfigError, DataError, ShapeError
 from delius.metrics import (
     EvalReport,
@@ -20,7 +20,7 @@ from delius.metrics import (
     silhouette,
 )
 from delius.rng import Rng
-from oracles import traced_peak
+from oracles import distance_matrix_longhand, long_double_sq_distances, traced_peak
 
 
 # Reference implementations: plain loops, no shared code with the
@@ -148,24 +148,15 @@ def test_silhouette_rejects_nonfinite_points():
         silhouette(points, np.array([0, 1, 1]))
 
 
-# Frozen copies of the whole-matrix kernels that the blocked ones replaced:
-# the blocked forms must give the same bits, not just close values.
+# The silhouette written out over a whole distance matrix: the blocked
+# form must give the same bits, not just close values.
 
 
-def _frozen_sq_distance_matrix(points, gram=None):
-    sq = np.einsum("nd,nd->n", points, points)
-    gram = points @ points.T if gram is None else gram
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
-def _frozen_silhouette(points, labels, gram=None):
+def _frozen_silhouette(points, labels):
     n = points.shape[0]
     clusters = np.unique(labels)
     k = len(clusters)
-    dist = np.sqrt(_frozen_sq_distance_matrix(points, gram))
+    dist = np.sqrt(distance_matrix_longhand(points))
     sums = np.empty((n, k))
     counts = np.empty(k)
     for ci, c in enumerate(clusters):
@@ -186,22 +177,12 @@ def _frozen_silhouette(points, labels, gram=None):
     return float(scores.mean())
 
 
-def _frozen_streamed_gram(points):
-    """The Gram matrix as one GEMM per block of rows, in blocks of the largest
-    multiple of 8 rows (at least 8, at most n) that fits 512 KiB."""
-    n = points.shape[0]
-    height = min(max(8, 65536 // n // 8 * 8), n)
-    return np.vstack([points[s : s + height] @ points.T for s in range(0, n, height)])
-
-
 # 255, 256 and 257 sit on each side of one full block (a block of 256
 # rows of 256 fills 512 KiB); 1001 takes fifteen full blocks and a short
-# one.  Silhouette streams its Gram rows block by block: when n is a
-# multiple of 8 those bits equal the whole product's, otherwise the last
-# n mod 8 rows may round differently (at 10-5-1025 and 64-37-1023 they
-# move the score), so those n are checked against the streamed form.  A
-# stream with a one-row tail block (GEMV) would miss the whole product's
-# distances at 848 and 1856, which the 8-row heights keep out.
+# one.  Every block is one GEMM of the longhand's operands, so the
+# distances match it bit for bit at every n, the tails of n mod 8 rows
+# included; a one-row tail block (a GEMV) would round differently at
+# 848 and 1856, which the 8-row heights keep out.
 @pytest.mark.parametrize("n", [7, 255, 256, 257, 848, 1001, 1023, 1024, 1025, 1856, 3000])
 @pytest.mark.parametrize("d, k", [(1, 2), (10, 5), (64, 37)])
 def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
@@ -213,16 +194,57 @@ def test_blocked_kernels_bit_equal_to_frozen(n, d, k):
     labels = np.arange(n) % k * 3 + 2  # label values need not be 0..k-1
     labels[rng.permutation(n)[: n // 3]] = 2 + 3 * (k - 1)
     labels[-1] = -1  # a singleton cluster
+    expected = distance_matrix_longhand(points)
     d2 = np.empty((n, n))
-    blocks = sum(1 for _ in sq_distance_blocks(points, out=d2))
+    blocks = sum(1 for _ in sq_distance_blocks(points, d2))
     assert (blocks == 1) == (n <= 256)
     assert blocks == 2 or n != 257
-    assert np.array_equal(d2, _frozen_sq_distance_matrix(points))
-    gram = None if n % 8 == 0 else _frozen_streamed_gram(points)
-    streamed = _frozen_sq_distance_matrix(points, gram)
-    for start, rows in sq_distance_blocks(points):
-        assert np.array_equal(rows, streamed[start : start + rows.shape[0]])
-    assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels, gram).hex()
+    assert np.array_equal(d2, expected)
+    for start, rows in sq_distance_blocks(points, np.empty((block_rows(n), n))):
+        assert np.array_equal(rows, expected[start : start + rows.shape[0]])
+    assert silhouette(points, labels).hex() == _frozen_silhouette(points, labels).hex()
+
+
+def _long_double_silhouette(dist, labels):
+    """Silhouette of an extended-precision distance matrix, and
+    ``min_i max(a_i, b_i)`` over the points outside singleton clusters."""
+    clusters, own, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = np.stack([dist[:, own == c].sum(axis=1) for c in range(len(clusters))], axis=1)
+    index = np.arange(len(labels))
+    size = counts[own]
+    a = sums[index, own] / np.maximum(size - 1, 1)
+    nearest = sums / counts
+    nearest[index, own] = np.inf
+    b = nearest.min(axis=1)
+    scores = (b - a) / np.maximum(a, b)
+    scores[size == 1] = 0
+    return scores.mean(), np.maximum(a, b)[size > 1].min()
+
+
+# A distance D from an entry with |D^2 - D_exact^2| <= E is off by at most
+# E / D_min, where E = 16 u (|x_i|^2 + |x_j|^2) bounds every entry (see
+# test_distance) and D_min is the closest pair; a cluster mean adds the
+# rounding of its sum, (n + 2) u D_max.  Each score (b - a) / max(a, b)
+# then moves by at most 2 delta / max(a, b) for a or b off by delta, and
+# by 4 u for the division and the mean.  1001 = 15 x 64 + 41 ends in a
+# short block, and the last point is a cluster of its own.
+@pytest.mark.parametrize("n, d", [(1001, 10), (257, 2)])
+def test_silhouette_within_rounding_of_long_double(n, d):
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, d)) + 4.0 * rng.normal(size=(5, d))[np.arange(n) % 5]
+    labels = np.arange(n) % 5
+    labels[-1] = 5  # a singleton cluster
+    dist = np.sqrt(np.vstack([long_double_sq_distances(points, s, s + 100)
+                              for s in range(0, n, 100)]))
+    exact, least_denominator = _long_double_silhouette(dist, labels)
+    pairs = dist[~np.eye(n, dtype=bool)]
+    closest, farthest = float(pairs.min()), float(pairs.max())
+    u = np.finfo(np.float64).eps / 2
+    entry = 16 * u * 2 * float(np.einsum("nd,nd->n", points, points).max())
+    assert entry < closest**2
+    delta = entry / closest + (n + 2) * u * farthest
+    bound = 2 * delta / float(least_denominator) + 4 * u
+    assert abs(silhouette(points, labels) - float(exact)) <= bound
 
 
 @pytest.mark.parametrize("n", [1000, 3000])

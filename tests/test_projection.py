@@ -18,7 +18,13 @@ from delius.projection import (
 )
 from delius.rng import Rng
 
-from oracles import child_memory, numeric_gradient, pca_fit_thin_svd, traced_peak
+from oracles import (
+    child_memory,
+    distance_matrix_longhand,
+    numeric_gradient,
+    pca_fit_thin_svd,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +190,10 @@ def test_affinities_favor_near_neighbours():
 
 def _frozen_joint_affinities(points, perplexity):
     """The affinities as they were with the whole distance matrix beside a
-    second n x n array of conditional rows."""
+    second n x n array of conditional rows, the distances from the
+    all-pairs kernel written out longhand."""
     n = points.shape[0]
-    sq = np.einsum("nd,nd->n", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
+    d2 = distance_matrix_longhand(points)
     target = math.log(perplexity)
     cond = np.zeros((n, n))
     for i in range(n):
