@@ -167,10 +167,14 @@ _stage = _Stage()
 
 
 @contextlib.contextmanager
-def _artifact(path: str):
-    """Yield a temporary target; promote it (and any id sidecar) on success.
+def _artifact(path: str, sidecar: bool = False):
+    """Yield a temporary target; promote it on success.
 
-    A write the system refuses (a missing directory, a full disk) is a
+    With ``sidecar`` the target is a binary container, whose ids the write
+    puts in ``<target>.ids`` unless they are the default ones: that file
+    replaces ``<path>.ids``, or, when the write made none, an old
+    ``<path>.ids`` is removed, so it cannot name the new file's rows.  A
+    write the system refuses (a missing directory, a full disk) is a
     configuration error naming ``path``.
     """
     from .errors import ConfigError
@@ -178,8 +182,12 @@ def _artifact(path: str):
     partial = path + ".partial"
     try:
         yield partial
-        if os.path.exists(partial + ".ids"):
-            os.replace(partial + ".ids", path + ".ids")
+        if sidecar:
+            if os.path.exists(partial + ".ids"):
+                os.replace(partial + ".ids", path + ".ids")
+            else:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path + ".ids")
         os.replace(partial, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
@@ -329,7 +337,7 @@ def _cluster(args, config, features, encoder, assignments_path, checkpoint_path,
     embedded = None
     if embedded_path:
         embedded = FeatureMatrix(values=result.state.z, ids=features.ids)
-        with _artifact(embedded_path) as target:
+        with _artifact(embedded_path, sidecar=True) as target:
             write_features(embedded, target, fmt="binary")
     return assignments, embedded
 
@@ -383,7 +391,7 @@ def _cmd_gap(args) -> None:
     with _stage("load"):
         block = read_feature_maps(args.maps)
     with _stage("pool"):
-        with _artifact(args.out) as target:
+        with _artifact(args.out, sidecar=True) as target:
             write_features(global_average_pool(block), target, fmt="binary")
 
 

@@ -6,12 +6,15 @@ coordinate of every component is made positive.  The t-SNE here is the exact
 O(n^2) variant (van der Maaten & Hinton, JMLR 9, 2008): per-point
 bandwidths found by bisection on the conditional distribution's
 entropy, symmetrised joint affinities, and plain momentum gradient
-descent with an early exaggeration phase.  Both the affinities and the
-gradient work one row block of ``distance``'s height at a time, so a
-layout holds the n x n affinities and O(block * n) beside them.  The
-gradient is split as 4 (A - R / Z), attraction minus normalised
-repulsion (van der Maaten, JMLR 15, 2014), so every block is finished
-without waiting for the normaliser Z.
+descent with an early exaggeration phase.  A row's entropy comes from the
+numbers that normalise it: with ``p_j = exp(-beta d_j - top) / S``, where
+``top`` is the row's largest logit and ``S`` the sum of its shifted
+exps, ``H = -sum p log p = log S + top + beta sum p d``, one log per
+row.  Both the affinities and the gradient work one row block of
+``distance``'s height at a time, so a layout holds the n x n affinities
+and O(block * n) beside them.  The gradient is split as 4 (A - R / Z),
+attraction minus normalised repulsion (van der Maaten, JMLR 15, 2014),
+so every block is finished without waiting for the normaliser Z.
 """
 
 from __future__ import annotations
@@ -119,37 +122,22 @@ class TsneConfig:
             )
 
 
-def _conditional_rows(dist: np.ndarray, beta: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+def _conditional_rows(
+    dist: np.ndarray, beta: np.ndarray, diagonal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's conditional distribution at its bandwidth ``beta``, zero at
-    its own point (column ``diagonal``), normalised to sum to 1."""
+    its own point (column ``diagonal``), normalised to sum to 1, and its
+    entropy ``log S + top + beta sum_j p_ij d_ij`` from the row's largest
+    logit ``top`` and normaliser ``S``."""
     rows = np.arange(dist.shape[0])
     logits = np.multiply(-beta[:, None], dist)
     logits[rows, diagonal] = -np.inf
-    logits -= logits.max(axis=1, keepdims=True)
+    top = logits.max(axis=1)
+    logits -= top[:, None]
     p = np.exp(logits, out=logits)
-    p[rows, diagonal] = 0.0
-    p /= p.sum(axis=1, keepdims=True)
-    return p
-
-
-def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """Each row's entropy over its non-zero entries.
-
-    Rows with the same number k of non-zero entries are packed into one
-    k-column array, so each row's terms are summed as ``p[i][p[i] > 0]``
-    alone would be: a reduction along contiguous rows sums each row as
-    the reduction of that row alone does.
-    """
-    positive = p > 0.0
-    counts = positive.sum(axis=1)
-    entropy = np.empty(p.shape[0])
-    for k in set(counts.tolist()):
-        same = counts == k
-        nz = (p[positive] if same.all() else p[same][positive[same]]).reshape(-1, k)
-        terms = np.log(nz)
-        terms *= nz
-        entropy[same] = -terms.sum(axis=1)
-    return entropy
+    total = p.sum(axis=1)
+    p /= total[:, None]
+    return p, np.log(total) + top + beta * np.einsum("ij,ij->i", p, dist)
 
 
 def _bisect_rows(d2: np.ndarray, start: int, target: float) -> None:
@@ -165,8 +153,8 @@ def _bisect_rows(d2: np.ndarray, start: int, target: float) -> None:
     dist = d2
     beta, lo, hi = np.ones(len(left)), np.zeros(len(left)), np.full(len(left), math.inf)
     for step in range(_MAX_BISECTIONS):
-        p = _conditional_rows(dist, beta, start + left)
-        gap = _row_entropies(p) - target
+        p, entropy = _conditional_rows(dist, beta, start + left)
+        gap = entropy - target
         done = np.abs(gap) <= _ENTROPY_TOL
         if step == _MAX_BISECTIONS - 1 or done.all():
             d2[left] = p

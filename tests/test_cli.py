@@ -1031,6 +1031,41 @@ def test_binary_output_sidecar_is_an_output(workspace, tmp_path, capsys, monkeyp
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("command", ["gap", "cluster", "run"])
+def test_default_ids_remove_an_old_binary_sidecar(workspace, tmp_path, monkeypatch, command):
+    # A file with named rows left its ids beside it; rows written over it
+    # with default ids make no sidecar, so the old one must go, or the
+    # next read would attach the old names (or fail on their count).
+    monkeypatch.chdir(tmp_path)
+    if command == "gap":
+        write_feature_maps(FeatureMapBlock(values=np.ones((4, 2, 3))), "m.delm")
+        out, argv = "e.delf", ["gap", "--maps", "m.delm", "--out", "e.delf"]
+    else:
+        values = read_features(workspace["features"]).values
+        write_features(FeatureMatrix.from_array(values), "f.delf")
+        if command == "cluster":
+            (tmp_path / "a.csv.ids").write_text("kept\n")  # a CSV output has no sidecar
+            out = "e.delf"
+            argv = ["cluster", "--features", "f.delf", "--ae-checkpoint", workspace["ae"],
+                    *CLUSTER_FLAGS, "--out-assignments", "a.csv", "--out-checkpoint", "m.delc",
+                    "--out-embedded", out]
+        else:
+            (tmp_path / "out").mkdir()
+            out = os.path.join("out", "embedded.delf")
+            argv = ["run", "--features", "f.delf", "--outdir", "out", *PRETRAIN_FLAGS,
+                    *CLUSTER_FLAGS, "--fraction", "0.5", "--perplexity", "4",
+                    "--tsne-iterations", "40"]
+    named = tuple(f"old{i}" for i in range(6))
+    write_features(FeatureMatrix.from_array(Rng(36).normal((6, 3)), named), out)
+    assert os.path.exists(out + ".ids")
+    assert main(argv) == 0
+    assert not os.path.exists(out + ".ids")
+    written = read_features(out)
+    assert written.ids == tuple(str(i) for i in range(written.n))
+    if command == "cluster":
+        assert (tmp_path / "a.csv.ids").read_text() == "kept\n"
+
+
 def test_error_before_any_stage_names_no_stage(workspace, tmp_path, capsys):
     target = shutil.copyfile(workspace["assignments"], tmp_path / "a.csv")
     argv = ["eval", "--points", workspace["embedded"], "--assignments", str(target),

@@ -9,7 +9,7 @@ from delius.errors import ConfigError, DataError, ShapeError
 from delius.metrics import silhouette
 from delius.projection import (
     TsneConfig,
-    _row_entropies,
+    _conditional_rows,
     joint_affinities,
     lowdim_gradient,
     pca_fit,
@@ -219,27 +219,57 @@ def _frozen_joint_affinities(points, perplexity):
     return (cond + cond.T) / (2.0 * n)
 
 
-# 600 rows of 600 make six blocks of 109 rows and a short one.
-@pytest.mark.parametrize("n, perplexity", [(7, 1.5), (257, 10.0), (600, 30.0)])
-def test_affinities_bit_equal_to_frozen(n, perplexity):
-    points = Rng(n + 1).normal((n, 6))
+def _ten_clusters(n, spread):
+    """Unit-variance clusters around ten centres ``spread`` apart."""
+    rng = Rng(n + 2)
+    centres = spread * rng.normal((10, 6))
+    return centres[np.arange(n) % 10] + rng.normal((n, 6))
+
+
+# 600 rows make five blocks of 104 rows and a short one of 80, as 1001
+# rows make fifteen blocks of 64 and one of 41.  Clusters 1e3 apart put
+# most of every row's entries below the smallest double.
+_FROZEN_CASES = [
+    (7, 1.5, None), (257, 10.0, None), (600, 30.0, None), (1001, 30.0, None),
+    (300, 2.0, None), (300, 50.0, None), (400, 30.0, 1e3), (400, 2.0, 1e3),
+]
+
+
+@pytest.mark.parametrize("n, perplexity, spread", _FROZEN_CASES, ids=[
+    f"{n}-{perplexity}" + ("" if spread is None else f"-clusters-{spread:g}")
+    for n, perplexity, spread in _FROZEN_CASES
+])
+def test_affinities_bit_equal_to_frozen(n, perplexity, spread):
+    points = Rng(n + 1).normal((n, 6)) if spread is None else _ten_clusters(n, spread)
     points[3] = points[0]  # a duplicate row: an exact zero distance
     assert np.array_equal(
         joint_affinities(points, perplexity), _frozen_joint_affinities(points, perplexity)
     )
 
 
-def test_row_entropies_sum_each_rows_non_zero_terms_alone():
-    # Rows with different numbers of zeros: each row's entropy must be the
-    # one-row sum over its non-zero entries, which rounds differently from
-    # a sum over the whole row with zero terms in it.
-    rng = np.random.default_rng(15)
-    p = rng.random((40, 300))
-    p[rng.random(p.shape) < np.linspace(0.0, 0.6, 40)[:, None]] = 0.0
-    p[np.arange(40), np.arange(40)] = 0.0
-    p /= p.sum(axis=1, keepdims=True)
-    expected = [float(-(row[row > 0.0] * np.log(row[row > 0.0])).sum()) for row in p]
-    assert [h.hex() for h in _row_entropies(p).tolist()] == [h.hex() for h in expected]
+def test_conditional_entropy_within_rounding_of_longhand():
+    # The entropy log S + top + beta sum p d against -sum p log p over the
+    # same rows in extended precision.  top = -beta d_min cancels against
+    # beta sum p d, and the exp's argument -beta d already carries an
+    # absolute error of u beta d, so the bound grows with beta d_min as
+    # well as with the entropy itself.
+    u = np.finfo(np.float64).eps / 2.0
+    n = 200
+    rows = np.arange(n)
+    worst = 0.0
+    for spread in (1e-3, 1.0, 1e2, 1e5):
+        points = _ten_clusters(n, spread)
+        points[7] = points[0]
+        dist = distance_matrix_longhand(points)
+        d_min = np.where(np.eye(n, dtype=bool), np.inf, dist).min(axis=1)
+        for beta in 10.0 ** np.arange(-6, 13):
+            p, entropy = _conditional_rows(dist, np.full(n, beta), rows)
+            wide = p.astype(np.longdouble)
+            logs = np.log(np.where(p > 0.0, wide, 1.0))
+            exact = -(wide * logs).sum(axis=1)
+            scale = 1.0 + exact + beta * (2.0 * d_min + (wide * dist).sum(axis=1))
+            worst = max(worst, float((np.abs(entropy - exact) / (u * scale)).max()))
+    assert worst <= 16.0, f"entropy off by {worst:.2f} u of its bound's scale"
 
 
 def test_affinities_hold_one_distance_matrix():
