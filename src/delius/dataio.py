@@ -320,29 +320,26 @@ _NUMBER_BYTES = b"0123456789.eE+-,"
 
 
 class _Irregular(Exception):
-    """A CSV file outside the bulk parser's grammar: its reader reads it cell by cell."""
+    """A CSV file outside the bulk parser's grammar: ``read_features`` reads it cell by cell."""
 
 
-def _bulk_csv(
-    path: str, header: bool, lead: int
-) -> tuple[list[str] | None, list[list[str]], np.ndarray]:
-    """(header cells or None, the ``lead`` text columns, the numeric columns) of a CSV file.
+def _bulk_csv(path: str, header: bool) -> tuple[list[str], np.ndarray]:
+    """(ids, values) of a CSV feature matrix: an id column, then numbers.
 
     The file is read in chunks of whole rows, about ``_CSV_CHUNK_BYTES``
     each, into one float64 array sized by a first pass that counts the
     lines.  Each chunk's numeric cells go through one ``np.fromstring``
-    call, which rounds every cell as ``float()`` does.  Every data row
-    holds as many cells as the first: ``lead`` text cells, then numbers.
+    call, which rounds every cell as ``float()`` does.  A header line
+    must keep the grammar, since csv quoting in it would change the rows
+    that follow, but its cells are never read.
 
     Raises ``_Irregular`` where the file leaves the grammar this parser
     reads exactly: UTF-8; no ``"``, carriage return, NUL or blank line;
     no line longer than the csv module's field size limit; one cell
-    count per data row and at least one data row; numeric cells made
-    only of ``0-9.eE+-`` that parse to one number each, without a
-    warning.  The reader then carries on cell by cell and reports any
-    error.  A header line inside the grammar splits on commas into the
-    cells csv gives, so a reader checks it with the rule its per-cell
-    path uses, and either path raises the same error for it.
+    count per data row, at least two, and at least one data row; numeric
+    cells made only of ``0-9.eE+-`` that parse to one number each,
+    without a warning.  ``read_features`` then carries on cell by cell
+    and reports any error.
     """
     limit = csv.field_size_limit()
     try:
@@ -351,34 +348,33 @@ def _bulk_csv(
         raise _Irregular from None
     with fh:
         n = _count_lines(fh) - header
-        head, columns, values, filled = None, [[] for _ in range(lead)], None, 0
+        ids, values, filled = [], None, 0
         while lines := fh.readlines(_CSV_CHUNK_BYTES):
             rows = _chunk_rows(b"".join(lines), limit)
-            if header and head is None:
-                head = rows.pop(0).split(",")
+            if header:
+                del rows[0]
+                header = False
             if not rows:
                 continue
             if values is None:
                 commas = rows[0].count(",")
-                if commas + 1 < lead:
+                if not commas:
                     raise _Irregular
-                values = np.empty((n, commas + 1 - lead))
+                values = np.empty((n, commas))
             numbers = []
             for row in rows:
                 if row.count(",") != commas:
                     raise _Irregular
-                cells = row.split(",", lead)
-                for column, cell in zip(columns, cells):
-                    column.append(cell)
-                numbers += cells[lead:]
+                ident, cells = row.split(",", 1)
+                ids.append(ident)
+                numbers.append(cells)
             if filled + len(rows) > n:
                 raise _Irregular
-            if numbers:
-                values[filled : filled + len(rows)] = _parse_numbers(numbers, values.shape[1])
+            values[filled : filled + len(rows)] = _parse_numbers(numbers, commas)
             filled += len(rows)
     if values is None or filled != n:
         raise _Irregular
-    return head, columns, values
+    return ids, values
 
 
 def _count_lines(fh) -> int:
@@ -465,11 +461,11 @@ def read_features(path: str, fmt: str = "auto", header: bool = False) -> Feature
     if fmt != "csv":
         raise ConfigError(f"unknown feature format {fmt!r}")
     try:
-        _, (ids,), values = _bulk_csv(path, header, 1)
-        if values.shape[1]:
-            return FeatureMatrix(values=values, ids=tuple(ids))
+        ids, values = _bulk_csv(path, header)
     except _Irregular:
         pass
+    else:
+        return FeatureMatrix(values=values, ids=tuple(ids))
     rows = _csv_rows(path, "features file")
     if header:
         next(rows, None)
@@ -631,7 +627,9 @@ def write_assignments(assignments: ClusterAssignments, path: str) -> None:
     _write_table(path, header, [assignments.ids, list(map(str, assignments.hard.tolist()))], q)
 
 
-def _check_assignments_header(path: str, header: list[str] | None) -> None:
+def read_assignments(path: str) -> ClusterAssignments:
+    rows = _csv_rows(path, "assignments file")
+    _, header = next(rows, (0, None))
     if header is None:
         raise FormatError(f"{path}: empty file")
     if header[:2] != ["id", "cluster"]:
@@ -639,24 +637,6 @@ def _check_assignments_header(path: str, header: list[str] | None) -> None:
     for j, name in enumerate(header[2:]):
         if name != f"q_{j}":
             raise FormatError(f"{path}: unexpected soft assignment column {name!r}")
-
-
-def read_assignments(path: str) -> ClusterAssignments:
-    try:
-        header, (ids, clusters), q = _bulk_csv(path, True, 2)
-        _check_assignments_header(path, header)
-        if len(header) != 2 + q.shape[1]:
-            raise _Irregular
-        try:
-            hard = [int(cell) for cell in clusters]
-        except ValueError:
-            raise _Irregular from None
-        return ClusterAssignments(ids=tuple(ids), hard=hard, q=q if q.shape[1] else None)
-    except _Irregular:
-        pass
-    rows = _csv_rows(path, "assignments file")
-    _, header = next(rows, (0, None))
-    _check_assignments_header(path, header)
     ids = []
     hard = []
     q_rows = [] if header[2:] else None
@@ -693,22 +673,16 @@ def write_xy(path: str, ids: Sequence[str], coords: np.ndarray, pca_style: bool)
     _write_table(path, header, [ids], coords)
 
 
-def _check_xy_header(path: str, header: list[str]) -> None:
-    if header[:1] != ["id"] or len(header) < 3:
-        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
-
-
 def read_xy(path: str) -> tuple[list[str], np.ndarray]:
-    try:
-        header, (ids,), coords = _bulk_csv(path, True, 1)
-        _check_xy_header(path, header)
-        if coords.shape[1] == len(header) - 1:
-            return ids, np.ascontiguousarray(coords[:, :2])
-    except _Irregular:
-        pass
+    """The ids and first two coordinates of a projection file.
+
+    A duplicate, empty or multi-line id, or a non-finite coordinate, is
+    a DataError.
+    """
     rows = _csv_rows(path, "projection file")
     _, header = next(rows, (0, []))
-    _check_xy_header(path, header)
+    if header[:1] != ["id"] or len(header) < 3:
+        raise FormatError(f"{path}: header must be 'id' plus at least two coordinates")
     ids, coords = [], []
     for r, cells in rows:
         _check_width(path, r, cells, len(header))
@@ -716,7 +690,10 @@ def read_xy(path: str) -> tuple[list[str], np.ndarray]:
         coords.append(_parse_cells(path, r, cells[1:3], 2))
     if not ids:
         raise FormatError(f"{path}: no data rows")
-    return ids, np.array(coords, dtype=np.float64)
+    _check_ids(ids, len(ids))
+    coords = np.array(coords, dtype=np.float64)
+    _check_finite(coords, "projection coordinates")
+    return ids, coords
 
 
 # ---------------------------------------------------------------------------

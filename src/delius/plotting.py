@@ -44,8 +44,16 @@ def check_layout(width, height, radius, palette=DEFAULT_PALETTE) -> None:
 
 
 def _scale(values: np.ndarray, out_span: float, flip: bool):
+    # Work in units of the power of two that brings every value below 1 in
+    # magnitude.  The scaling is exact (only values negligible beside the
+    # largest can lose bits), so ordinary positions keep every bit, while no
+    # span or margin can overflow, a span of one ulp gives a finite scale
+    # and the 0.5 margin around a single value is never absorbed.
     lo = float(values.min())
     hi = float(values.max())
+    _, exponent = math.frexp(max(-lo, hi))
+    lo = math.ldexp(lo, -exponent)
+    hi = math.ldexp(hi, -exponent)
     span = hi - lo
     margin = 0.05 * span if span > 0.0 else 0.5
     lo -= margin
@@ -53,7 +61,7 @@ def _scale(values: np.ndarray, out_span: float, flip: bool):
     scale = out_span / (hi - lo)
 
     def mapper(v: float) -> float:
-        t = (v - lo) * scale
+        t = (math.ldexp(v, -exponent) - lo) * scale
         return out_span - t if flip else t
 
     return mapper

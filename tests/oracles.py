@@ -14,6 +14,8 @@ import delius
 from delius.dataio import (
     ClusterAssignments,
     FeatureMatrix,
+    _check_finite,
+    _check_ids,
     _check_width,
     _csv_rows,
     _parse_cells,
@@ -220,7 +222,10 @@ def xy_by_cell(path: str) -> tuple[list[str], np.ndarray]:
         coords.append(_parse_cells(path, r, cells[1:3], 2))
     if not ids:
         raise FormatError(f"{path}: no data rows")
-    return ids, np.array(coords, dtype=np.float64)
+    _check_ids(ids, len(ids))
+    coords = np.array(coords, dtype=np.float64)
+    _check_finite(coords, "projection coordinates")
+    return ids, coords
 
 
 # Frozen copies of the CSV writers, which formatted each value with

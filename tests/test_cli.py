@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -404,6 +405,40 @@ def test_eval_process_loads_no_masked_arrays(workspace, tmp_path):
     argv = ["eval", "--points", workspace["embedded"], "--assignments", workspace["assignments"],
             "--labels-manifest", workspace["manifest"], "--out", str(tmp_path / "r.json")]
     assert _loaded_by(argv, ("numpy.ma", "delius.rng")) == "0 []"
+
+
+def _plot_pair(tmp_path, rows):
+    """Exit code of ``plot`` on an ``id,x,y`` file of ``rows`` whose ids a and b
+    are assigned clusters 0 and 1, and the SVG it wrote, if any."""
+    xy, assignments, out = tmp_path / "xy.csv", tmp_path / "a.csv", tmp_path / "s.svg"
+    xy.write_text(f"id,x,y\n{rows}\n")
+    assignments.write_text("id,cluster\na,0\nb,1\n")
+    code = main(["plot", "--xy", str(xy), "--assignments", str(assignments), "--out", str(out)])
+    return code, out.read_text() if out.exists() else None
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a,1,2\na,3,4", "duplicate id 'a'"),
+    (",1,2\nb,3,4", "invalid id ''"),
+    ('"a\nb",1,2\nb,3,4', "invalid id 'a\\nb'"),
+    ("a,nan,2\nb,3,4", "projection coordinates contains a non-finite value at (0, 0)"),
+    ("a,1,2\nb,3,1e400", "projection coordinates contains a non-finite value at (1, 1)"),
+])
+def test_plot_malformed_xy_fails_in_load_stage(tmp_path, capsys, rows, message):
+    assert _plot_pair(tmp_path, rows) == (3, None)
+    err = capsys.readouterr().err
+    assert "plot: load stage failed" in err and message in err
+
+
+@pytest.mark.parametrize("rows", ["a,1e17,0\nb,1e17,1", "a,-1e308,0\nb,1e308,1"])
+def test_plot_places_extreme_finite_coordinates(tmp_path, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, svg = _plot_pair(tmp_path, rows)
+    assert code == 0
+    for c in ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}circle"):
+        assert 0.0 <= float(c.get("cx")) <= 800.0
+        assert 0.0 <= float(c.get("cy")) <= 600.0
 
 
 def test_plot_missing_id_fails_with_data_error(workspace, tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The bulk CSV parser gives what the per-cell readers give, in bounded memory.
 
-``read_features`` (CSV), ``read_assignments`` and ``read_xy`` parse
-well-formed files in row chunks with ``np.fromstring`` and read any other
-file cell by cell.  Random text, mostly near-valid, must give
-bit-equal values and equal ids, or the same exception and message, as the
-frozen per-cell readers in ``oracles``.
+``read_features`` (CSV) parses a well-formed feature matrix in row chunks
+with ``np.fromstring`` and reads any other file cell by cell;
+``read_assignments`` and ``read_xy`` read every file cell by cell.
+Random text, mostly near-valid, must give bit-equal values and equal
+ids, or the same exception and message, as the frozen per-cell readers
+in ``oracles``.
 """
 
 import os
@@ -16,14 +17,11 @@ from hypothesis import strategies as st
 
 from delius import dataio
 from delius.dataio import (
-    ClusterAssignments,
     FeatureMatrix,
     read_assignments,
     read_features,
     read_xy,
-    write_assignments,
     write_features,
-    write_xy,
 )
 from oracles import assignments_by_cell, features_csv_by_cell, traced_peak, xy_by_cell
 
@@ -219,32 +217,26 @@ def _well_formed(tmp_path, n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
     ids = tuple(f"é-{i}" for i in range(n))
-    q = rng.random((n, 3))
-    q /= q.sum(axis=1, keepdims=True)
-    paths = {name: str(tmp_path / f"{name}.csv") for name in READERS}
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("features", "features_header")}
     write_features(FeatureMatrix.from_array(values, ids), paths["features"])
     with open(paths["features_header"], "w", encoding="utf-8") as fh:
         fh.write(_features_header(6) + "\n")
         with open(paths["features"], encoding="utf-8") as body:
             fh.write(body.read())
-    write_assignments(ClusterAssignments(ids=ids, hard=np.argmax(q, axis=1), q=q), paths["assignments"])
-    write_xy(paths["xy"], ids, values[:, :4], pca_style=True)
     return paths
 
 
 @pytest.mark.parametrize("n", [1, 2, 3000])  # 3000 rows span several chunks
 def test_well_formed_files_never_reach_the_per_cell_reader(tmp_path, monkeypatch, n):
     paths = _well_formed(tmp_path, n)
-    expected = {
-        name: _outcome(frozen, bits, paths[name]) for name, (_, _, frozen, bits) in READERS.items()
-    }
+    expected = {name: _outcome(READERS[name][2], _matrix_bits, paths[name]) for name in paths}
 
     def per_cell(*args):
         raise AssertionError("a well-formed file went to the per-cell reader")
 
     monkeypatch.setattr(dataio, "_csv_rows", per_cell)
-    for name, (_, read, _, bits) in READERS.items():
-        assert bits(read(paths[name])) == expected[name]
+    for name, path in paths.items():
+        assert _matrix_bits(READERS[name][1](path)) == expected[name]
 
 
 def test_csv_read_holds_one_full_size_array(tmp_path):

@@ -539,6 +539,7 @@ _EDGE_VALUES = np.array(
         [0.1, -1e308, 1.0, 0.0, 2.5],
     ]
 )
+_EDGE_Q = np.array([[1.0, -0.0, 5e-324], [0.1, 0.9, 0.0], [0.0, 0.1, 0.9]])
 
 
 def _same_bytes(tmp_path, write, frozen):
@@ -559,8 +560,7 @@ def test_write_features_csv_bytes_match_frozen(tmp_path):
 
 @pytest.mark.parametrize("soft", [True, False])
 def test_write_assignments_bytes_match_frozen(tmp_path, soft):
-    q = np.array([[1.0, -0.0, 5e-324], [0.1, 0.9, 0.0], [0.0, 0.1, 0.9]]) if soft else None
-    a = ClusterAssignments(ids=_QUOTED_IDS, hard=np.array([0, 1, 2]), q=q)
+    a = ClusterAssignments(ids=_QUOTED_IDS, hard=np.array([0, 1, 2]), q=_EDGE_Q if soft else None)
     _same_bytes(
         tmp_path, lambda p: write_assignments(a, p), lambda p: write_assignments_by_cell(a, p)
     )
@@ -579,3 +579,33 @@ def test_write_xy_bytes_match_frozen(tmp_path, coords, pca_style):
         lambda p: write_xy(p, _QUOTED_IDS, coords, pca_style),
         lambda p: write_xy_by_cell(p, _QUOTED_IDS, coords, pca_style),
     )
+
+
+# The readers give back what the writers wrote: ids that need CSV quoting,
+# and every value bit for bit.
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("soft", [True, False])
+def test_assignments_with_quoted_ids_round_trip(tmp_path, soft):
+    path = str(tmp_path / "a.csv")
+    write_assignments(
+        ClusterAssignments(ids=_QUOTED_IDS, hard=np.array([0, 1, 2]), q=_EDGE_Q if soft else None),
+        path,
+    )
+    back = read_assignments(path)
+    assert back.ids == _QUOTED_IDS
+    assert back.hard.tolist() == [0, 1, 2]
+    assert _bits(back.q) == _bits(_EDGE_Q) if soft else back.q is None
+
+
+@pytest.mark.parametrize("pca_style", [False, True])
+def test_xy_with_quoted_ids_round_trips(tmp_path, pca_style):
+    path = str(tmp_path / "xy.csv")
+    write_xy(path, _QUOTED_IDS, _EDGE_VALUES if pca_style else _EDGE_VALUES[:, :2], pca_style)
+    ids, coords = read_xy(path)
+    assert ids == list(_QUOTED_IDS)
+    assert _bits(coords) == _bits(_EDGE_VALUES[:, :2])

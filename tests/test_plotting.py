@@ -1,12 +1,13 @@
 """SVG scatter rendering."""
 
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from delius.errors import ConfigError, DataError
-from delius.plotting import DEFAULT_PALETTE, ScatterSpec, render_scatter
+from delius.plotting import DEFAULT_PALETTE, ScatterSpec, _scale, render_scatter
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -104,3 +105,54 @@ def test_scatter_rejects_bad_inputs():
         _render([[0.0, 0.0]], [0], width=0)
     with pytest.raises(ConfigError):
         _render([[0.0, 0.0]], [0], radius=0.0)
+
+
+def _frozen_scale(values, out_span, flip):
+    # The mapping before it worked in power-of-two units, kept to pin its bits.
+    lo = float(values.min())
+    hi = float(values.max())
+    span = hi - lo
+    margin = 0.05 * span if span > 0.0 else 0.5
+    lo -= margin
+    hi += margin
+    scale = out_span / (hi - lo)
+
+    def mapper(v):
+        t = (v - lo) * scale
+        return out_span - t if flip else t
+
+    return mapper
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_positions_bit_equal_to_frozen_mapping_over_ordinary_spans(flip):
+    rng = np.random.default_rng(5)
+    for exponent in range(-250, 251, 10):
+        values = rng.normal(size=64) * 10.0**exponent + rng.normal() * 10.0**exponent
+        ours, theirs = _scale(values, 800.0, flip), _frozen_scale(values, 800.0, flip)
+        assert [ours(v) for v in values] == [theirs(v) for v in values]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1e17, 1e17],  # a 0.5 margin is absorbed from 2**53 up
+        [-1e308, 1e308],  # the span overflows
+        [-1.7976931348623157e308, -1.7976931348623157e308],
+        [0.0, 5e-324],  # the scale overflows
+        [1e-310, 2e-310],
+        [0.0, 1e-306],
+        [1e300, float(np.nextafter(1e300, np.inf))],
+    ],
+)
+def test_every_finite_point_lands_on_the_canvas(column):
+    points = np.column_stack([column, [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = _render(points, [0, 1], width=400, height=300)
+    for c in ET.fromstring(svg).findall(f"{SVG_NS}circle"):
+        assert 0.0 <= float(c.get("cx")) <= 400.0
+        assert 0.0 <= float(c.get("cy")) <= 300.0
+    if column[0] != column[1]:
+        cx = [float(c.get("cx")) for c in ET.fromstring(svg).findall(f"{SVG_NS}circle")]
+        assert cx[0] < cx[1]
