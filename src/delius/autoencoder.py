@@ -22,6 +22,8 @@ from .errors import ConfigError, NumericError
 from .neural import AdamConfig, MlpParams
 from .rng import Rng
 
+ENCODE_ROWS = 1024  # rows per block of a full-data encode: a constant, never set from n or threads
+
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
@@ -86,13 +88,21 @@ def encode(params: MlpParams, features) -> np.ndarray:
 
     Pass ``encoder_part(params)`` to embed with a full autoencoder: the
     layer sizes alone cannot tell a mirrored autoencoder from an encoder
-    whose sizes happen to read the same both ways (8-4-8).  It holds one
-    layer's input and output at a time, not forward's activation list.
+    whose sizes happen to read the same both ways (8-4-8).  The rows run
+    through the chain in blocks of ``ENCODE_ROWS``, each block's code
+    written into one n x (code width) result, so beside that result it
+    holds one block's input and output of one layer at a time, whatever
+    n is.  Up to ``ENCODE_ROWS`` rows are one block, the whole product.
     """
     x = features.values if isinstance(features, FeatureMatrix) else features
-    for out in neural.layer_outputs(params, x):
-        pass
-    return out
+    # The first item layer_outputs yields is its checked float64 input.
+    x = next(neural.layer_outputs(params, x))
+    z = np.empty((x.shape[0], params.layers[-1].fan_out))
+    for start in range(0, x.shape[0], ENCODE_ROWS):
+        for out in neural.layer_outputs(params, x[start : start + ENCODE_ROWS]):
+            pass
+        z[start : start + ENCODE_ROWS] = out
+    return z
 
 
 def _reconstruction_step(
@@ -101,12 +111,13 @@ def _reconstruction_step(
     """One Adam step on a batch's reconstruction loss, which it returns.
 
     A non-finite loss is returned before anything moves.  The batch's
-    activations die with the call, before the next batch's forward pass.
+    activations die with the call, before the next batch's forward pass;
+    the reconstruction is held only as the last of them.
     """
-    acts, recon = neural.forward(params, xb)
-    loss = neural.mse_loss(recon, xb)
+    acts = neural.forward(params, xb)[0]
+    loss = neural.mse_loss(acts[-1], xb)
     if np.isfinite(loss):
-        neural.backward(params, acts, neural.mse_grad(recon, xb), out=grads)
+        neural.backward(params, acts, neural.mse_grad(acts[-1], xb), out=grads)
         neural.adam_step(params, grads, state)
     return loss
 

@@ -305,10 +305,18 @@ def _check_width(path: str, r: int, cells: list[str], width: int) -> None:
 
 
 def _parse_cells(path: str, r: int, cells: Sequence[str], first_column: int, parse=float) -> list:
-    """``parse`` of every cell; ``first_column`` is the 1-based file column of cells[0]."""
+    """``parse`` of every cell; ``first_column`` is the 1-based file column of cells[0].
+
+    A cell with an underscore, surrounding whitespace or a non-ASCII
+    character is refused before ``parse`` sees it: ``float()`` and
+    ``int()`` read ``1_0``, `` 0`` and ``١`` as numbers, which no writer
+    produces.  Whitespace inside a cell they refuse themselves.
+    """
     out = []
     for c, cell in enumerate(cells, start=first_column):
         try:
+            if not cell.isascii() or "_" in cell or cell.strip() != cell:
+                raise ValueError(cell)
             out.append(parse(cell))
         except ValueError:
             raise FormatError(f"{path}: row {r}, column {c}: cannot parse {cell!r} as a number")

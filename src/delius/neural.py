@@ -166,6 +166,9 @@ def backward(
     gradient with respect to the input batch is not computed.  With
     ``out``, a list of C-ordered float64 arrays shaped like those
     blocks, the gradients are written into it and ``out`` is returned.
+    ``output_grad`` and ``acts`` are never written.  Each layer's signal
+    is held once: a relu mask multiplies in place every signal that
+    ``backward`` made itself.
     """
     if len(acts) != len(params.layers) + 1:
         raise ShapeError(
@@ -186,7 +189,10 @@ def backward(
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
         if layer.activation == "relu":
-            g = g * (acts[i + 1] > 0.0)
+            if g is output_grad:
+                g = g * (acts[i + 1] > 0.0)
+            else:
+                np.multiply(g, acts[i + 1] > 0.0, out=g)
         np.matmul(g.T, acts[i], out=out[2 * i])
         np.sum(g, axis=0, out=out[2 * i + 1])
         if i:
@@ -195,20 +201,31 @@ def backward(
 
 
 def mse_loss(x_recon: np.ndarray, x: np.ndarray) -> float:
-    """Squared error summed over coordinates, averaged over rows."""
+    """Squared error summed over coordinates, averaged over rows.
+
+    The difference is squared in place: one temporary the size of ``x``.
+    """
     x_recon = np.asarray(x_recon, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x_recon.shape != x.shape:
         raise ShapeError(f"shape mismatch {x_recon.shape} vs {x.shape}")
     diff = x_recon - x
-    return float(np.sum(diff * diff) / x.shape[0])
+    np.multiply(diff, diff, out=diff)
+    return float(np.sum(diff) / x.shape[0])
 
 
 def mse_grad(x_recon: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of mse_loss with respect to the reconstruction."""
+    """Gradient of mse_loss with respect to the reconstruction.
+
+    The difference is scaled in place and returned, a new array.
+    """
+    x_recon = np.asarray(x_recon, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x_recon.shape != x.shape:
         raise ShapeError(f"shape mismatch {x_recon.shape} vs {x.shape}")
-    return (2.0 / x.shape[0]) * (x_recon - x)
+    diff = x_recon - x
+    diff *= 2.0 / x.shape[0]
+    return diff
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,21 @@ def pca_fit_thin_svd(points: np.ndarray, r: int) -> PcaModel:
     return PcaModel(mean=mean, components=components)
 
 
+def encode_blocks_longhand(params, x: np.ndarray, rows: int) -> np.ndarray:
+    """``autoencoder.encode`` written out longhand: each block of ``rows`` rows
+    runs the chain as fresh products, bias adds and relus, and the blocks'
+    codes are stacked."""
+    codes = []
+    for start in range(0, x.shape[0], rows):
+        a = x[start : start + rows]
+        for layer in params.layers:
+            a = a @ layer.w.T + layer.b
+            if layer.activation == "relu":
+                a = np.maximum(a, 0.0)
+        codes.append(a)
+    return np.vstack(codes)
+
+
 def distance_blocks_longhand(points: np.ndarray, shift: float = 0.0):
     """``distance.sq_distance_blocks`` written out longhand, a fresh array per block.
 

@@ -13,6 +13,8 @@ from delius.errors import ConfigError, NumericError, ShapeError
 from delius.neural import AdamConfig
 from delius.rng import Rng
 
+from oracles import child_memory, encode_blocks_longhand, traced_peak
+
 
 def test_default_chain_mirrors_encoder():
     spec = AutoencoderSpec()
@@ -108,7 +110,17 @@ def _encoder_with_biases(dims, seed):
     return params
 
 
-@pytest.mark.parametrize("dims, n", [([1024, 500, 500, 2000, 10], 300), ([7, 5, 3], 1001)])
+# Up to ENCODE_ROWS rows are one block, and at corpus-wide's shape
+# (6000x512 through 512-64-10) the blocks match the whole product too.
+@pytest.mark.parametrize(
+    "dims, n",
+    [
+        ([1024, 500, 500, 2000, 10], 300),
+        ([7, 5, 3], 1001),
+        ([1024, 500, 500, 2000, 10], 1024),
+        ([512, 64, 10], 6000),
+    ],
+)
 def test_encode_bit_equal_to_frozen_forward(dims, n):
     params = _encoder_with_biases(dims, 11)
     x = Rng(12).normal((n, dims[0]))
@@ -116,6 +128,14 @@ def test_encode_bit_equal_to_frozen_forward(dims, n):
     assert encode(params, x).tobytes() == frozen.tobytes()
     assert encode(params, FeatureMatrix.from_array(x)).tobytes() == frozen.tobytes()
     assert neural.forward(params, x)[1].tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+def test_encode_bit_equal_to_block_loop(n):
+    params = _encoder_with_biases([1024, 500, 500, 2000, 10], 13)
+    x = Rng(14).normal((n, 1024))
+    loop = encode_blocks_longhand(params, x, autoencoder.ENCODE_ROWS)
+    assert encode(params, x).tobytes() == loop.tobytes()
 
 
 def test_encode_rejects_what_forward_rejects():
@@ -127,28 +147,39 @@ def test_encode_rejects_what_forward_rejects():
 
 
 def test_encode_holds_two_layers_at_a_time():
-    # encode holds one layer's input and output, so its traced peak stays
-    # near 8 n (widest adjacent pair of widths) bytes: 1.01 times that
-    # here.  Running forward, which keeps every layer's output plus
-    # temporaries for the bias add and relu, reaches 2.5.
+    # Beside its n x (code width) result, encode holds one block's input
+    # and output of one layer, so its traced peak stays near 8
+    # ENCODE_ROWS (widest adjacent pair of widths) + 8 n (code width)
+    # bytes.  A whole-product pass holds 8 n (widest pair): 1.9 times
+    # that bound here.
     dims, n = [64, 256, 256, 256, 10], 2000
     params = _encoder_with_biases(dims, 5)
     x = Rng(6).normal((n, dims[0]))
-    bound = 8 * n * max(a + b for a, b in zip(dims[1:], dims[2:]))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        encode(params, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak - before < 1.05 * bound, (
-        f"traced peak {peak - before} B is {(peak - before) / bound:.2f} x the "
-        f"{bound} B of the widest two adjacent layers"
+    pair = max(a + b for a, b in zip(dims[1:], dims[2:]))
+    bound = 8 * autoencoder.ENCODE_ROWS * pair + 8 * n * dims[-1]
+    _, peak = traced_peak(lambda: encode(params, x))
+    assert peak < 1.05 * bound, (
+        f"traced peak {peak} B is {peak / bound:.2f} x the {bound} B of one block's "
+        f"widest two adjacent layers and the result"
+    )
+
+
+def test_encode_memory_bounded_in_the_block_at_corpus_scale():
+    # 20,000x1024 through the paper encoder: a whole-product pass holds
+    # 20,000 x (500 + 2000) doubles, 400 MB, at the 500->2000 layer.
+    # Beside the 1.6 MB result, one block's pair is 20 MB.
+    setup = (
+        "import numpy as np\n"
+        "from delius import neural\n"
+        "from delius.autoencoder import encode\n"
+        "from delius.rng import Rng\n"
+        "params = neural.init_params([1024, 500, 500, 2000, 10],"
+        " ['relu'] * 3 + ['identity'], Rng(1))\n"
+        "x = np.random.default_rng(2).standard_normal((20000, 1024))"
+    )
+    before, peak = child_memory(setup, "encode(params, x)")
+    assert peak - before <= 64 << 20, (
+        f"encode's high-water mark is {(peak - before) / 2**20:.1f} MiB above its input"
     )
 
 
@@ -312,6 +343,22 @@ def test_pretrain_nonfinite_leaves_params_at_last_finite_step(
         assert new.tobytes() == old.tobytes()
     moved = [a.tobytes() != b.tobytes() for a, b in zip(last_step.blocks(), epoch_start.blocks())]
     assert any(moved) == (position[1] > 0)
+
+
+def test_reconstruction_step_holds_one_copy_of_each_signal():
+    # One paper-shape step (batch 256) holds the layer outputs, 13.7 MiB,
+    # and beside them at most two 256x2000 signals: the backprop signal,
+    # masked in place, and the next one.  Masking into a new array, and
+    # the loss's squared-difference temporary, reach 24.1 MiB.
+    spec = AutoencoderSpec()
+    params = build(spec, Rng(1))
+    xb = Rng(2).normal((spec.batch_size, spec.input_dim))
+    state = neural.adam_init(params.blocks(), spec.optimizer, params.block_names())
+    grads = [np.empty(block.shape) for block in params.blocks()]
+    outputs = 8 * spec.batch_size * sum(spec.chain()[1:])
+    bound = outputs + 8 * 2 * spec.batch_size * 2000
+    _, peak = traced_peak(lambda: autoencoder._reconstruction_step(params, xb, grads, state))
+    assert peak <= bound, f"traced peak {peak} B is {peak - outputs} B above the layer outputs"
 
 
 def test_pretrain_traced_peak_bounded_by_parameter_bytes():

@@ -750,8 +750,17 @@ def _missing_stratify_labels(workspace, tmp_path):
             "--out", str(tmp_path / "xy.csv")], 2
 
 
+def _assignments_no_writer_produces(workspace, tmp_path):
+    # float() and int() would read '1_0' and ' 0' as 10 and 0.
+    (tmp_path / "in").mkdir()
+    assignments = tmp_path / "in" / "a.csv"
+    assignments.write_text("id,cluster\na,1_0\nb, 0")
+    return ["eval", "--points", workspace["embedded"], "--assignments", str(assignments),
+            "--out", str(tmp_path / "report.json")], 3
+
+
 @pytest.mark.parametrize("case", [_truncated_maps, _missing_ae_checkpoint,
-                                  _missing_stratify_labels])
+                                  _missing_stratify_labels, _assignments_no_writer_produces])
 def test_unreadable_input_fails_in_load_stage(workspace, tmp_path, capsys, case):
     argv, exit_code = case(workspace, tmp_path)
     assert main(argv) == exit_code

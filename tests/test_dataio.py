@@ -1,5 +1,6 @@
 """Container, format and sampling behaviour."""
 
+import re
 import struct
 
 import numpy as np
@@ -307,6 +308,26 @@ def test_csv_bad_number_names_cell(tmp_path):
     path.write_text("a,1.0,oops\n")
     with pytest.raises(FormatError, match="column 3"):
         read_features(str(path))
+
+
+# float() and int() take these cells as 10, 0 and 1; no writer makes them.
+@pytest.mark.parametrize(
+    "text, read, message",
+    [
+        ("id,cluster\na,1_0\nb, 0", read_assignments, "row 2, column 2: cannot parse '1_0'"),
+        ("id,cluster\na,1\nb, 0", read_assignments, "row 3, column 2: cannot parse ' 0'"),
+        ("r0,1_0,\u0661", read_features, "row 1, column 2: cannot parse '1_0'"),
+        ("r0,1.0,\u0661", read_features, "row 1, column 3: cannot parse '\u0661'"),
+        ("id,x,y\na,1.0,2.0\x0c\n", read_xy, "row 2, column 3: cannot parse '2.0\\x0c'"),
+    ],
+    ids=["assignments-underscore", "assignments-space", "features-underscore",
+         "features-arabic-indic", "xy-form-feed"],
+)
+def test_cells_no_writer_produces_are_refused(tmp_path, text, read, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read(str(path))
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,17 @@ def test_mse_grad_matches_finite_differences():
     assert np.allclose(grad, numeric, atol=1e-7)
 
 
+def test_mse_bit_equal_to_frozen_and_inputs_unchanged():
+    rng = Rng(6)
+    x, recon = rng.normal((256, 33)), rng.normal((256, 33))
+    inputs = [x.tobytes(), recon.tobytes()]
+    # The loss and its gradient as written before they reused their difference.
+    diff = recon - x
+    assert repr(mse_loss(recon, x)) == repr(float(np.sum(diff * diff) / x.shape[0]))
+    assert mse_grad(recon, x).tobytes() == ((2.0 / x.shape[0]) * (recon - x)).tobytes()
+    assert [x.tobytes(), recon.tobytes()] == inputs
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -251,23 +262,29 @@ def test_inactive_relu_unit_gets_zero_weight_grad():
 
 
 def test_backward_out_bit_equal_and_returned():
-    params = _net([7, 5, 3, 5, 7], ["relu", "identity", "relu", "identity"], seed=4)
-    x = Rng(5).normal((9, 7))
-    acts, out = forward(params, x)
-    grad = mse_grad(out, x)
-    # The backward pass as written before it took ``out``.
-    frozen, g = [None] * (2 * len(params.layers)), grad
-    for i in range(len(params.layers) - 1, -1, -1):
-        if params.layers[i].activation == "relu":
-            g = g * (acts[i + 1] > 0.0)
-        frozen[2 * i : 2 * i + 2] = g.T @ acts[i], g.sum(axis=0)
-        if i:
-            g = g @ params.layers[i].w
-    bufs = [np.full(block.shape, np.nan) for block in params.blocks()]
-    assert backward(params, acts, grad, out=bufs) is bufs
-    for fresh, written, old in zip(backward(params, acts, grad), bufs, frozen):
-        assert fresh.tobytes() == old.tobytes()
-        assert written.tobytes() == old.tobytes()
+    # The second network's relu last layer masks the caller's
+    # output_grad, which backward must not write.
+    for activations in (["relu", "identity", "relu", "identity"],
+                        ["relu", "relu", "identity", "relu"]):
+        params = _net([7, 5, 3, 5, 7], activations, seed=4)
+        x = Rng(5).normal((9, 7))
+        acts, out = forward(params, x)
+        grad = mse_grad(out, x)
+        inputs = [a.tobytes() for a in acts + [grad]]
+        # The backward pass as written before it took ``out`` or masked in place.
+        frozen, g = [None] * (2 * len(params.layers)), grad
+        for i in range(len(params.layers) - 1, -1, -1):
+            if params.layers[i].activation == "relu":
+                g = g * (acts[i + 1] > 0.0)
+            frozen[2 * i : 2 * i + 2] = g.T @ acts[i], g.sum(axis=0)
+            if i:
+                g = g @ params.layers[i].w
+        bufs = [np.full(block.shape, np.nan) for block in params.blocks()]
+        assert backward(params, acts, grad, out=bufs) is bufs
+        for fresh, written, old in zip(backward(params, acts, grad), bufs, frozen):
+            assert fresh.tobytes() == old.tobytes()
+            assert written.tobytes() == old.tobytes()
+        assert [a.tobytes() for a in acts + [grad]] == inputs
 
 
 def test_backward_rejects_mismatched_out():
