@@ -27,15 +27,12 @@ ENCODE_ROWS = 1024  # rows per block of a full-data encode: a constant, never se
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
-    input_dim: int = 1024
     encoder_dims: tuple[int, ...] = (500, 500, 2000, 10)
     batch_size: int = 256
     epochs: int = 200
     optimizer: AdamConfig = field(default_factory=AdamConfig)
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not self.encoder_dims or any(d < 1 for d in self.encoder_dims):
             raise ConfigError(f"encoder_dims must be positive, got {self.encoder_dims}")
         if self.batch_size < 1:
@@ -43,9 +40,9 @@ class AutoencoderSpec:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
 
-    def chain(self) -> list[int]:
+    def chain(self, width: int) -> list[int]:
         enc = list(self.encoder_dims)
-        return [self.input_dim] + enc + enc[-2::-1] + [self.input_dim]
+        return [width] + enc + enc[-2::-1] + [width]
 
     def layer_activations(self) -> list[str]:
         n_layers = 2 * len(self.encoder_dims)
@@ -67,9 +64,9 @@ class PretrainReport:
                 writer.writerow([str(epoch), repr(loss)])
 
 
-def build(spec: AutoencoderSpec, rng: Rng) -> MlpParams:
-    """Initialise the mirrored autoencoder for the given layout."""
-    return neural.init_params(spec.chain(), spec.layer_activations(), rng)
+def build(spec: AutoencoderSpec, width: int, rng: Rng) -> MlpParams:
+    """Initialise the mirrored autoencoder for ``width``-wide features."""
+    return neural.init_params(spec.chain(width), spec.layer_activations(), rng)
 
 
 def encoder_part(params: MlpParams) -> MlpParams:
@@ -135,10 +132,6 @@ def pretrain(
     ``params`` hold the parameters after the last finite-loss step.
     """
     x = features.values
-    if x.shape[1] != spec.input_dim:
-        raise ConfigError(
-            f"features have {x.shape[1]} columns but the configured input width is {spec.input_dim}"
-        )
     state = neural.adam_init(params.blocks(), spec.optimizer, params.block_names())
     grads = [np.empty(block.shape) for block in params.blocks()]
     batches = neural.minibatches(features.n, spec.batch_size, rng)

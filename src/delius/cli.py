@@ -26,8 +26,9 @@ Conventions shared by every subcommand:
 * main() checks every output before the handler runs, the defaults of
   left-out output flags, the manifest and the id sidecar of a binary
   output included: a file in a missing directory, a path that is a
-  directory, two outputs naming one file, or an output naming an input
-  file or its id sidecar exits 2 before any work;
+  directory, two outputs naming one file, an output naming an input
+  file or its id sidecar, or a binary output with a ``.csv`` name exits
+  2 before any work, as does ``--header`` for features read as binary;
 * an error inside a stage is reported as "delius <command>: <stage>
   stage failed: ...", and every input is read in the ``load`` stage, so
   an unreadable or malformed input is reported as "<command>: load stage
@@ -116,9 +117,11 @@ def _check_outputs(args: argparse.Namespace) -> None:
     The file's directory must exist (``run`` makes its --outdir later) and
     the path must not be a directory.  An output naming an input file,
     an input's id sidecar or another output is refused too, since its
-    write would replace that file.  What only the write can show, such as
-    a full disk, ``_artifact`` reports.
+    write would replace that file, and so is a binary output with a name
+    the feature readers take as CSV.  What only the write can show, such
+    as a full disk, ``_artifact`` reports.
     """
+    from .dataio import _named_format
     from .errors import ConfigError
 
     inputs = {}
@@ -142,12 +145,27 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise ConfigError(f"{label}: cannot write {path}: {directory} is not an existing directory")
         if os.path.isdir(path):
             raise ConfigError(f"{label}: cannot write {path}: it is a directory")
+        if key == _BINARY_OUTPUT.get(args.command) and _named_format(path) == "csv":
+            raise ConfigError(f"{label}: {path} would hold binary features under a name "
+                              "read as CSV; give another name")
         real = os.path.realpath(path)
         if real in inputs:
             raise ConfigError(f"{label}: {path} is {inputs[real]}; give another file")
         other = named.setdefault(real, label)
         if other != label:
             raise ConfigError(f"{other} and {label} both name {path}; give each its own file")
+
+
+def _check_header(args: argparse.Namespace) -> None:
+    """Refuse ``--header`` for features read as binary, which have no header row."""
+    from .dataio import _named_format
+    from .errors import ConfigError
+
+    if not getattr(args, "header", False):
+        return
+    path = getattr(args, "features", None) or getattr(args, "points", None)
+    if (_named_format(path) if args.format == "auto" else args.format) == "binary":
+        raise ConfigError(f"--header skips a CSV header row, but {path} is read as binary")
 
 
 class _Stage:
@@ -233,7 +251,7 @@ def _adam_config(args):
 
 
 def _autoencoder_spec(args, optimizer):
-    """The pretraining settings; ``_pretrain`` fills in the input width it reads."""
+    """The pretraining settings; the input width comes from the features ``_pretrain`` gets."""
     from .autoencoder import AutoencoderSpec
     from .errors import ConfigError
 
@@ -290,15 +308,12 @@ def _encoder_of(ckpt):
 
 def _pretrain(args, spec, features, checkpoint_path: str, loss_path: str):
     """Train the mirrored autoencoder; return the checkpoint written."""
-    from dataclasses import replace
-
     from . import autoencoder
     from .neural import Checkpoint, save_checkpoint
     from .rng import Rng
 
-    spec = replace(spec, input_dim=features.d)
     rng = Rng(args.seed)
-    params = autoencoder.build(spec, rng)
+    params = autoencoder.build(spec, features.d, rng)
     params, report = autoencoder.pretrain(params, features, spec, rng)
     ckpt = Checkpoint(params=params, seed=args.seed, phase="pretrain", epoch=spec.epochs)
     with _artifact(checkpoint_path) as target:
@@ -443,6 +458,10 @@ def _cmd_baseline(args) -> None:
         raise ConfigError(f"r must be at least 1, got {args.r}")
     if args.strategy == "ae-kmeans" and not args.ae_checkpoint:
         raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
+    # Refused rather than left unread, so the manifest digests no file the command did not use.
+    if args.strategy == "pca-kmeans" and args.ae_checkpoint:
+        raise ConfigError("--ae-checkpoint is read only by the ae-kmeans strategy; "
+                          "pca-kmeans takes none")
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
@@ -757,6 +776,7 @@ def main(argv=None) -> int:
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(threads)
         _check_outputs(args)
+        _check_header(args)
         started = time.monotonic()
         args.func(args)
         _write_manifest(_outputs(args)["manifest"], args, started)

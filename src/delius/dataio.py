@@ -448,15 +448,24 @@ def _write_table(
             writer.writerow([*cells, *map(repr, row.tolist())])
 
 
-def _infer_format(path: str) -> str:
+def _named_format(path: str) -> str | None:
+    """The feature format ``fmt="auto"`` takes from a file name: "csv" for a
+    ``.csv`` name, "binary" for ``.delf``, in any case; None for any other."""
     lowered = path.lower()
     if lowered.endswith(".csv"):
         return "csv"
     if lowered.endswith(".delf"):
         return "binary"
-    raise ConfigError(
-        f"cannot infer feature format from {path!r}; pass format='binary' or 'csv'"
-    )
+    return None
+
+
+def _infer_format(path: str) -> str:
+    fmt = _named_format(path)
+    if fmt is None:
+        raise ConfigError(
+            f"cannot infer feature format from {path!r}; pass format='binary' or 'csv'"
+        )
+    return fmt
 
 
 def read_features(path: str, fmt: str = "auto", header: bool = False) -> FeatureMatrix:

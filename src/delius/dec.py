@@ -227,14 +227,6 @@ def dec_fit(
     on the batch size.
     """
     x = features.values
-    if x.shape[1] != encoder_params.layers[0].fan_in:
-        raise ConfigError(
-            f"features have {x.shape[1]} columns but the encoder expects "
-            f"{encoder_params.layers[0].fan_in}"
-        )
-    if config.k > features.n:
-        raise ConfigError(f"k = {config.k} exceeds the number of rows n = {features.n}")
-
     z = autoencoder.encode(encoder_params, x)
     km = kmeans_fit(z, config.k, rng, restarts=config.kmeans_restarts)
     mu = km.centroids.copy()

@@ -91,8 +91,8 @@ def test_gradient_correctness(capsys):
         n = 6 + master.below(11)
         m = 2 + master.below(3)
         k = 2 + master.below(3)
-        spec = AutoencoderSpec(input_dim=8, encoder_dims=(6, m))
-        ae = _random_net(spec.chain(), spec.layer_activations(), master)
+        spec = AutoencoderSpec(encoder_dims=(6, m))
+        ae = _random_net(spec.chain(8), spec.layer_activations(), master)
         x = master.normal((n, 8))
 
         # reconstruction loss against every parameter block
@@ -206,8 +206,8 @@ def blob_run():
     truth = np.repeat(np.arange(3), 200)
     fm = FeatureMatrix.from_array(x)
 
-    spec = AutoencoderSpec(input_dim=1024, epochs=50)
-    params = build(spec, Rng(7))
+    spec = AutoencoderSpec(epochs=50)
+    params = build(spec, 1024, Rng(7))
     params, _ = pretrain(params, fm, spec, Rng(7))
     enc = encoder_part(params)
     cfg = DecConfig(k=3)
@@ -312,8 +312,8 @@ def make_manifold(seed, n_per=100, d=32):
 def _pretrained_manifold(seed):
     """The manifold of ``seed`` and a 64-32-4 encoder pretrained on it."""
     fm = make_manifold(seed)
-    spec = AutoencoderSpec(input_dim=32, encoder_dims=(64, 32, 4), batch_size=256, epochs=30)
-    params, _ = pretrain(build(spec, Rng(seed)), fm, spec, Rng(seed))
+    spec = AutoencoderSpec(encoder_dims=(64, 32, 4), batch_size=256, epochs=30)
+    params, _ = pretrain(build(spec, 32, Rng(seed)), fm, spec, Rng(seed))
     return fm, encoder_part(params)
 
 

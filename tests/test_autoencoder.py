@@ -18,12 +18,12 @@ from oracles import child_memory, encode_blocks_longhand, traced_peak
 
 def test_default_chain_mirrors_encoder():
     spec = AutoencoderSpec()
-    assert spec.chain() == [1024, 500, 500, 2000, 10, 2000, 500, 500, 1024]
+    assert spec.chain(1024) == [1024, 500, 500, 2000, 10, 2000, 500, 500, 1024]
 
 
 def test_tiny_chain():
-    spec = AutoencoderSpec(input_dim=4, encoder_dims=(2,))
-    assert spec.chain() == [4, 2, 4]
+    spec = AutoencoderSpec(encoder_dims=(2,))
+    assert spec.chain(4) == [4, 2, 4]
     assert spec.layer_activations() == ["identity", "identity"]
 
 
@@ -37,8 +37,8 @@ def test_default_activation_pattern():
 
 def test_spec_validation():
     # A spec checks itself when it is built.
-    with pytest.raises(ConfigError, match="input_dim must be positive"):
-        AutoencoderSpec(input_dim=0)
+    with pytest.raises(ConfigError, match="all layer sizes must be positive"):
+        build(AutoencoderSpec(), 0, Rng(0))
     with pytest.raises(ConfigError, match="encoder_dims must be positive"):
         AutoencoderSpec(encoder_dims=())
     with pytest.raises(ConfigError, match="epochs must be at least 1"):
@@ -48,9 +48,9 @@ def test_spec_validation():
 
 
 def test_build_matches_spec_and_is_deterministic():
-    spec = AutoencoderSpec(input_dim=8, encoder_dims=(5, 2))
-    a = build(spec, Rng(3))
-    b = build(spec, Rng(3))
+    spec = AutoencoderSpec(encoder_dims=(5, 2))
+    a = build(spec, 8, Rng(3))
+    b = build(spec, 8, Rng(3))
     assert a.dims() == [8, 5, 2, 5, 8]
     assert a.activations() == ["relu", "identity", "relu", "identity"]
     for la, lb in zip(a.layers, b.layers):
@@ -58,8 +58,8 @@ def test_build_matches_spec_and_is_deterministic():
 
 
 def test_encoder_part_takes_first_half_sharing_arrays():
-    spec = AutoencoderSpec(input_dim=6, encoder_dims=(4, 2))
-    params = build(spec, Rng(0))
+    spec = AutoencoderSpec(encoder_dims=(4, 2))
+    params = build(spec, 6, Rng(0))
     enc = encoder_part(params)
     assert enc.dims() == [6, 4, 2]
     assert enc.layers[0].w is params.layers[0].w
@@ -72,8 +72,8 @@ def test_encoder_part_rejects_non_mirrored():
 
 
 def test_encode_runs_the_given_chain():
-    spec = AutoencoderSpec(input_dim=5, encoder_dims=(3, 2))
-    params = build(spec, Rng(1))
+    spec = AutoencoderSpec(encoder_dims=(3, 2))
+    params = build(spec, 5, Rng(1))
     x = Rng(2).normal((9, 5))
     fm = FeatureMatrix.from_array(x)
     z = encode(encoder_part(params), fm)
@@ -85,7 +85,7 @@ def test_encode_runs_the_given_chain():
 
 def test_encode_palindromic_encoder_runs_whole_chain():
     # 4-3-4 reads the same both ways, yet it is an encoder, not an autoencoder
-    encoder = encoder_part(build(AutoencoderSpec(input_dim=4, encoder_dims=(3, 4)), Rng(3)))
+    encoder = encoder_part(build(AutoencoderSpec(encoder_dims=(3, 4)), 4, Rng(3)))
     assert encoder.dims() == [4, 3, 4]
     x = Rng(4).normal((6, 4))
     assert np.array_equal(encode(encoder, x), neural.forward(encoder, x)[1])
@@ -191,11 +191,11 @@ def _blob_features(n=96, d=12, seed=5):
 
 def test_pretrain_reduces_loss_and_reports_curve():
     spec = AutoencoderSpec(
-        input_dim=12, encoder_dims=(8, 3), batch_size=32, epochs=40,
+        encoder_dims=(8, 3), batch_size=32, epochs=40,
         optimizer=AdamConfig(lr=0.005),
     )
     fm = _blob_features()
-    params = build(spec, Rng(9))
+    params = build(spec, 12, Rng(9))
     params, report = pretrain(params, fm, spec, Rng(9))
     assert len(report.losses) == 40
     assert report.final_loss == report.losses[-1]
@@ -203,11 +203,11 @@ def test_pretrain_reduces_loss_and_reports_curve():
 
 
 def test_pretrain_bitwise_deterministic():
-    spec = AutoencoderSpec(input_dim=12, encoder_dims=(4,), batch_size=16, epochs=5)
+    spec = AutoencoderSpec(encoder_dims=(4,), batch_size=16, epochs=5)
     fm = _blob_features()
 
     def run():
-        params = build(spec, Rng(21))
+        params = build(spec, 12, Rng(21))
         return pretrain(params, fm, spec, Rng(21))
 
     (pa, ra), (pb, rb) = run(), run()
@@ -224,9 +224,9 @@ def test_pretrain_full_batch_row_permutation_invariant():
     fm = _blob_features(n=24, d=6)
     perm = Rng(77).permutation(24)
     fm_perm = FeatureMatrix.from_array(fm.values[perm])
-    spec = AutoencoderSpec(input_dim=6, encoder_dims=(3,), batch_size=64, epochs=30)
-    _, r1 = pretrain(build(spec, Rng(4)), fm, spec, Rng(5))
-    _, r2 = pretrain(build(spec, Rng(4)), fm_perm, spec, Rng(5))
+    spec = AutoencoderSpec(encoder_dims=(3,), batch_size=64, epochs=30)
+    _, r1 = pretrain(build(spec, 6, Rng(4)), fm, spec, Rng(5))
+    _, r2 = pretrain(build(spec, 6, Rng(4)), fm_perm, spec, Rng(5))
     assert r1.final_loss == pytest.approx(r2.final_loss, abs=1e-6)
 
 
@@ -235,34 +235,34 @@ def test_pretrain_linear_identity_capacity():
     # so the reconstruction loss should approach zero.
     fm = _blob_features(n=32, d=3, seed=6)
     spec = AutoencoderSpec(
-        input_dim=3, encoder_dims=(3,), batch_size=32, epochs=800,
+        encoder_dims=(3,), batch_size=32, epochs=800,
         optimizer=AdamConfig(lr=0.01),
     )
-    params, report = pretrain(build(spec, Rng(1)), fm, spec, Rng(1))
+    params, report = pretrain(build(spec, 3, Rng(1)), fm, spec, Rng(1))
     assert report.final_loss < 1e-2
     recon = neural.forward(params, fm.values)[1]
     assert float(np.abs(recon - fm.values).max()) < 0.2
 
 
 def test_pretrain_rejects_width_mismatch():
-    spec = AutoencoderSpec(input_dim=5, encoder_dims=(2,))
+    spec = AutoencoderSpec(encoder_dims=(2,))
     fm = _blob_features(n=8, d=12)
-    with pytest.raises(ConfigError, match="columns"):
-        pretrain(build(spec, Rng(0)), fm, spec, Rng(0))
+    with pytest.raises(ShapeError, match="fan-in"):
+        pretrain(build(spec, 5, Rng(0)), fm, spec, Rng(0))
 
 
 def test_pretrain_bit_equal_to_frozen_loop():
     # The loop as written before pretraining and the joint loop shared one
     # batch stream: a fresh permutation per epoch, cut into batches.
     spec = AutoencoderSpec(
-        input_dim=12, encoder_dims=(6, 3), batch_size=20, epochs=4,
+        encoder_dims=(6, 3), batch_size=20, epochs=4,
         optimizer=AdamConfig(lr=0.005),
     )
     fm = _blob_features(n=70)  # batches of 20, 20, 20, 10
     rng_new, rng_old = Rng(40), Rng(40)
-    params, report = pretrain(build(spec, Rng(41)), fm, spec, rng_new)
+    params, report = pretrain(build(spec, 12, Rng(41)), fm, spec, rng_new)
 
-    frozen = build(spec, Rng(41))
+    frozen = build(spec, 12, Rng(41))
     state = neural.adam_init(frozen.blocks(), spec.optimizer)
     losses = []
     for _ in range(spec.epochs):
@@ -287,8 +287,8 @@ def test_pretrain_nonfinite_raises_before_any_step():
     # so no step runs and the parameters stay as built.
     x = np.full((8, 4), 1e200)
     fm = FeatureMatrix.from_array(x)
-    spec = AutoencoderSpec(input_dim=4, encoder_dims=(2,), batch_size=8, epochs=3)
-    params = build(spec, Rng(0))
+    spec = AutoencoderSpec(encoder_dims=(2,), batch_size=8, epochs=3)
+    params = build(spec, 4, Rng(0))
     initial = copy.deepcopy(params)
     with pytest.raises(NumericError, match="in epoch 0"):
         pretrain(params, fm, spec, Rng(0))
@@ -311,18 +311,18 @@ def test_pretrain_nonfinite_leaves_params_at_last_finite_step(
     init_seed, shuffle_seed, failed_at
 ):
     spec = AutoencoderSpec(
-        input_dim=6, encoder_dims=(3,), batch_size=10, epochs=30,
+        encoder_dims=(3,), batch_size=10, epochs=30,
         optimizer=AdamConfig(lr=2e250, epsilon=1e250),
     )
     fm = _blob_features(n=40, d=6)  # four batches per epoch
-    params = build(spec, Rng(init_seed))
+    params = build(spec, 6, Rng(init_seed))
     with pytest.raises(NumericError) as excinfo:
         pretrain(params, fm, spec, Rng(shuffle_seed))
 
     # A frozen copy of the training loop that halts at the first
     # non-finite loss and also reports where its epoch started.
     def frozen_loop():
-        params, rng = build(spec, Rng(init_seed)), Rng(shuffle_seed)
+        params, rng = build(spec, 6, Rng(init_seed)), Rng(shuffle_seed)
         state = neural.adam_init(params.blocks(), spec.optimizer)
         for epoch in range(spec.epochs):
             epoch_start = copy.deepcopy(params)
@@ -351,11 +351,11 @@ def test_reconstruction_step_holds_one_copy_of_each_signal():
     # masked in place, and the next one.  Masking into a new array, and
     # the loss's squared-difference temporary, reach 24.1 MiB.
     spec = AutoencoderSpec()
-    params = build(spec, Rng(1))
-    xb = Rng(2).normal((spec.batch_size, spec.input_dim))
+    params = build(spec, 1024, Rng(1))
+    xb = Rng(2).normal((spec.batch_size, 1024))
     state = neural.adam_init(params.blocks(), spec.optimizer, params.block_names())
     grads = [np.empty(block.shape) for block in params.blocks()]
-    outputs = 8 * spec.batch_size * sum(spec.chain()[1:])
+    outputs = 8 * spec.batch_size * sum(spec.chain(1024)[1:])
     bound = outputs + 8 * 2 * spec.batch_size * 2000
     _, peak = traced_peak(lambda: autoencoder._reconstruction_step(params, xb, grads, state))
     assert peak <= bound, f"traced peak {peak} B is {peak - outputs} B above the layer outputs"
@@ -368,9 +368,9 @@ def test_pretrain_traced_peak_bounded_by_parameter_bytes():
     # nothing else is parameter-sized: all the rest (activations, Adam's
     # scratch buffers) must stay under one more.  A snapshot of the
     # parameters kept for a failed run reaches 4.7.
-    spec = AutoencoderSpec(input_dim=256, encoder_dims=(400, 10), batch_size=32, epochs=3)
+    spec = AutoencoderSpec(encoder_dims=(400, 10), batch_size=32, epochs=3)
     fm = FeatureMatrix.from_array(Rng(1).normal((256, 256)))
-    params = build(spec, Rng(2))
+    params = build(spec, 256, Rng(2))
     param_bytes = 8 * params.n_params()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -390,9 +390,9 @@ def test_pretrain_traced_peak_bounded_by_parameter_bytes():
 
 
 def test_loss_csv_roundtrip(tmp_path):
-    spec = AutoencoderSpec(input_dim=6, encoder_dims=(2,), batch_size=8, epochs=4)
+    spec = AutoencoderSpec(encoder_dims=(2,), batch_size=8, epochs=4)
     fm = _blob_features(n=16, d=6)
-    _, report = pretrain(build(spec, Rng(3)), fm, spec, Rng(3))
+    _, report = pretrain(build(spec, 6, Rng(3)), fm, spec, Rng(3))
     path = tmp_path / "loss.csv"
     report.write_csv(str(path))
     lines = path.read_text().splitlines()

@@ -56,10 +56,10 @@ def test_pca_full_rank_matches_plain_kmeans():
 
 def _pretrained(fm, seed=2):
     spec = AutoencoderSpec(
-        input_dim=fm.d, encoder_dims=(8, 2), batch_size=32, epochs=30,
+        encoder_dims=(8, 2), batch_size=32, epochs=30,
         optimizer=AdamConfig(lr=0.005),
     )
-    params = autoencoder.build(spec, Rng(seed))
+    params = autoencoder.build(spec, fm.d, Rng(seed))
     params, _ = autoencoder.pretrain(params, fm, spec, Rng(seed))
     return params
 

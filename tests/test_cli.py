@@ -808,6 +808,8 @@ def test_numeric_blowup_exit_4(tmp_path, capsys):
     ("baseline", ["--r", "0"], 2, "r must be at least 1, got 0"),
     ("baseline", ["--strategy", "ae-kmeans"], 2,
      "--ae-checkpoint is required for the ae-kmeans strategy"),
+    ("baseline", ["--ae-checkpoint", "ae.delc"], 2,
+     "--ae-checkpoint is read only by the ae-kmeans strategy"),
 ])
 def test_unusable_numeric_flag(workspace, tmp_path, capsys, command, flags, code, message):
     bad = tmp_path / "bad.delf"
@@ -1108,6 +1110,58 @@ def test_default_ids_remove_an_old_binary_sidecar(workspace, tmp_path, monkeypat
     assert written.ids == tuple(str(i) for i in range(written.n))
     if command == "cluster":
         assert (tmp_path / "a.csv.ids").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["gap", "cluster"])
+def test_binary_output_with_csv_name_exit_2_before_load(tmp_path, capsys, command):
+    # The readers take a .csv name as CSV, so DELF bytes written under one
+    # could not be read back through that name.
+    inputs, outputs = _malformed_inputs(tmp_path, command)
+    flag = {"gap": "--out", "cluster": "--out-embedded"}[command]
+    outputs[flag] = str(tmp_path / "emb.CSV")
+    assert main(_argv(command, inputs, outputs)) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: {outputs[flag]} would hold binary features under a name read as CSV" in err
+    assert "load stage" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "cluster", "eval", "baseline", "project", "run"])
+@pytest.mark.parametrize("fmt", ["auto", "binary"])
+def test_header_for_binary_features_exit_2_before_load(tmp_path, capsys, command, fmt):
+    # A binary file has no header row to skip, so the flag could not take effect.
+    if command == "run":
+        inputs, _ = _malformed_inputs(tmp_path, "pretrain")
+        argv = ["run", *inputs, "--k", "2", "--outdir", str(tmp_path / "out")]
+    else:
+        argv = _argv(command, *_malformed_inputs(tmp_path, command))
+    if fmt == "binary":  # a .csv name read as binary
+        i = argv.index("--points" if command == "eval" else "--features") + 1
+        argv[i] = shutil.move(argv[i], argv[i].removesuffix(".delf") + ".csv")
+    assert main(argv + ["--format", fmt, "--header"]) == 2
+    err = capsys.readouterr().err
+    assert "--header skips a CSV header row" in err and "load stage" not in err
+
+
+def test_checkpoint_that_does_not_fit_features_exit_3_alike(workspace, tmp_path, capsys):
+    # cluster and baseline read one checkpoint through the same encoder
+    # check, so both report its width mismatch as bad data, in one message.
+    narrow = str(tmp_path / "narrow.delf")
+    write_features(FeatureMatrix.from_array(Rng(37).normal((60, 5))), narrow)
+    common = ["--features", narrow, "--ae-checkpoint", workspace["ae"], "--k", str(K)]
+    runs = {
+        "cluster": ["cluster", *common, "--out-assignments", str(tmp_path / "a.csv"),
+                    "--out-checkpoint", str(tmp_path / "m.delc")],
+        "baseline": ["baseline", "--strategy", "ae-kmeans", *common,
+                     "--out", str(tmp_path / "b.json")],
+    }
+    messages = set()
+    for stage, argv in runs.items():
+        assert main(argv) == 3
+        prefix = f"delius {stage}: {stage} stage failed: "
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        messages.add(err[len(prefix):])
+    assert messages == {f"input width 5 does not match network fan-in {DIM}\n"}
 
 
 def test_error_before_any_stage_names_no_stage(workspace, tmp_path, capsys):

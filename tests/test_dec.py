@@ -298,10 +298,10 @@ def _blob_setup(n_per=30, d=8, k=3, seed=0):
 
 def _pretrained_encoder(fm, latent=2, epochs=25, seed=1):
     spec = AutoencoderSpec(
-        input_dim=fm.d, encoder_dims=(6, latent), batch_size=32, epochs=epochs,
+        encoder_dims=(6, latent), batch_size=32, epochs=epochs,
         optimizer=AdamConfig(lr=0.005),
     )
-    params = autoencoder.build(spec, Rng(seed))
+    params = autoencoder.build(spec, fm.d, Rng(seed))
     params, _ = autoencoder.pretrain(params, fm, spec, Rng(seed))
     return autoencoder.encoder_part(params)
 
@@ -430,7 +430,7 @@ def test_dec_fit_validation():
     with pytest.raises(ConfigError, match="exceeds"):
         dec_fit(fm, enc, DecConfig(k=fm.n + 1), Rng(0))
     narrow = FeatureMatrix.from_array(np.zeros((4, 3)))
-    with pytest.raises(ConfigError, match="columns"):
+    with pytest.raises(ShapeError, match="fan-in"):
         dec_fit(narrow, enc, DecConfig(k=2), Rng(0))
 
 

@@ -367,7 +367,7 @@ def test_normal_keeps_the_sign_of_a_zero_draw():
 
 def test_build_known_answer():
     r = Rng(21)
-    params = build(AutoencoderSpec(input_dim=1024), r)
+    params = build(AutoencoderSpec(), 1024, r)
     digest = hashlib.sha256()
     for block in params.blocks():
         digest.update(np.ascontiguousarray(block).tobytes())
