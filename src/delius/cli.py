@@ -28,7 +28,11 @@ Conventions shared by every subcommand:
   output included: a file in a missing directory, a path that is a
   directory, two outputs naming one file, an output naming an input
   file or its id sidecar, or a binary output with a ``.csv`` name exits
-  2 before any work, as does ``--header`` for features read as binary;
+  2 before any work;
+* a flag set away from its default that the command line does not read
+  (``--r`` off PCA, ``project --method pca --perplexity 5``, ...) exits
+  2 before any work too; an explicit default is accepted, and ``--seed``
+  and ``--threads`` are never refused;
 * an error inside a stage is reported as "delius <command>: <stage>
   stage failed: ...", and every input is read in the ``load`` stage, so
   an unreadable or malformed input is reported as "<command>: load stage
@@ -154,18 +158,6 @@ def _check_outputs(args: argparse.Namespace) -> None:
         other = named.setdefault(real, label)
         if other != label:
             raise ConfigError(f"{other} and {label} both name {path}; give each its own file")
-
-
-def _check_header(args: argparse.Namespace) -> None:
-    """Refuse ``--header`` for features read as binary, which have no header row."""
-    from .dataio import _named_format
-    from .errors import ConfigError
-
-    if not getattr(args, "header", False):
-        return
-    path = getattr(args, "features", None) or getattr(args, "points", None)
-    if (_named_format(path) if args.format == "auto" else args.format) == "binary":
-        raise ConfigError(f"--header skips a CSV header row, but {path} is read as binary")
 
 
 class _Stage:
@@ -454,14 +446,10 @@ def _cmd_baseline(args) -> None:
         raise ConfigError(f"k must be at least 1, got {args.k}")
     if args.restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {args.restarts}")
-    if args.strategy == "pca-kmeans" and args.r < 1:
+    if args.r < 1:
         raise ConfigError(f"r must be at least 1, got {args.r}")
     if args.strategy == "ae-kmeans" and not args.ae_checkpoint:
         raise ConfigError("--ae-checkpoint is required for the ae-kmeans strategy")
-    # Refused rather than left unread, so the manifest digests no file the command did not use.
-    if args.strategy == "pca-kmeans" and args.ae_checkpoint:
-        raise ConfigError("--ae-checkpoint is read only by the ae-kmeans strategy; "
-                          "pca-kmeans takes none")
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
@@ -509,30 +497,22 @@ def _cmd_project(args) -> None:
     from .errors import ConfigError
     from .projection import TsneConfig
 
-    # A stratifier is read only to draw a sample: refuse one that would go
-    # unread, so the manifest digests no file the command did not use.
-    given = [flag for flag, path in (("--labels-manifest", args.labels_manifest),
-                                     ("--assignments", args.assignments)) if path]
-    if len(given) > 1:
+    if args.labels_manifest and args.assignments:
         raise ConfigError("--labels-manifest and --assignments both choose the strata; give one")
-    if given and not args.fraction < 1.0:
-        raise ConfigError(f"{given[0]} stratifies a sample and needs --fraction below 1")
-    # Built for either method, so no flag given goes unchecked.
-    tsne = TsneConfig(
+    tsne = None if args.method == "pca" else TsneConfig(
         perplexity=args.perplexity,
         iterations=args.iterations,
         learning_rate=args.learning_rate,
         early_exaggeration=args.early_exaggeration,
         seed=args.seed,
     )
-    if args.method == "pca" and args.r < 2:  # a projection file holds at least two coordinates
+    if args.r < 2:  # a projection file holds at least two coordinates
         raise ConfigError(f"--r must be at least 2 for a PCA projection, got {args.r}")
     with _stage("load"):
         features = _read_features(args, args.features)
         strata = _stratify_labels(args, features) if args.fraction < 1.0 else None
     with _stage("project"):
-        _project(features, strata, args.fraction, args.seed, args.out,
-                 tsne if args.method == "tsne" else None, pca_dim=args.r)
+        _project(features, strata, args.fraction, args.seed, args.out, tsne, pca_dim=args.r)
 
 
 def _cmd_plot(args) -> None:
@@ -564,6 +544,8 @@ def _cmd_run(args) -> None:
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
+        if args.k > features.n:  # the cluster stage would find it only after pretraining
+            raise ConfigError(f"k = {args.k} exceeds the number of points n = {features.n}")
     with _stage("pretrain"):
         ckpt = _pretrain(args, spec, features, out["checkpoint"], out["loss_curve"])
     with _stage("cluster"):
@@ -597,51 +579,120 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap numeric parallelism (default: DELIUS_THREADS or 1)",
-    )
+def _only(choice: str, value: str):
+    """The rule of a flag read only when ``--<choice>`` is ``value``."""
+    why = f"is read only by the {value} {choice}"
+    return lambda args: None if getattr(args, choice) == value else why
 
 
-def _add_feature_input(parser, flag="--features"):
-    parser.add_argument(flag, required=True, help="feature matrix file")
-    parser.add_argument(
-        "--format",
-        choices=("auto", "binary", "csv"),
-        default="auto",
-        help="feature file format (default: by extension)",
-    )
-    parser.add_argument(
-        "--header",
-        action="store_true",
-        help="skip one header row when reading CSV features",
-    )
+def _csv_features(args):
+    from .dataio import _named_format
+
+    path = getattr(args, "features", None) or args.points
+    if (_named_format(path) if args.format == "auto" else args.format) == "binary":
+        return f"skips a CSV header row, but {path} is read as binary"
 
 
-def _add_pretraining(parser):
-    parser.add_argument("--encoder-dims", default="500,500,2000,10")
-    parser.add_argument("--epochs", type=int, default=200)
+def _sampled(args):
+    return None if args.fraction < 1.0 else "stratifies a sample and needs --fraction below 1"
 
 
-def _add_clustering(parser):
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--update-interval", type=int, default=140)
-    parser.add_argument("--delta", type=float, default=0.001)
-    parser.add_argument("--max-iterations", type=int, default=20000)
-    parser.add_argument("--restarts", type=int, default=20)
+def _labelled(args):
+    return None if args.labels_manifest else "names a --labels-manifest column, but none is given"
 
 
-def _add_training(parser):
-    """Minibatch size and Adam settings, for pretraining and clustering."""
-    parser.add_argument("--batch-size", type=int, default=256)
-    parser.add_argument("--lr", type=float, default=0.001)
-    parser.add_argument("--beta1", type=float, default=0.9)
-    parser.add_argument("--beta2", type=float, default=0.999)
-    parser.add_argument("--epsilon", type=float, default=1e-8)
+def _on(*commands, **keywords):
+    return dict.fromkeys(commands, keywords)
+
+
+_COMMANDS = {
+    "gap": (_cmd_gap, "pool feature maps to per-channel means"),
+    "pretrain": (_cmd_pretrain, "train the reconstruction autoencoder"),
+    "cluster": (_cmd_cluster, "jointly optimise embedding and centroids"),
+    "eval": (_cmd_eval, "score a clustering"),
+    "baseline": (_cmd_baseline, "run a reference clustering strategy"),
+    "project": (_cmd_project, "project features to a low dimension"),
+    "plot": (_cmd_plot, "render a projection as an SVG scatter"),
+    "run": (_cmd_run, "full pipeline: pretrain, cluster, eval, project, plot"),
+}
+_READERS = ("pretrain", "cluster", "eval", "baseline", "project", "run")  # of a feature matrix
+_TRAINING = ("pretrain", "cluster", "run")
+_TSNE = _only("method", "tsne")
+
+# Every flag, once: its option, its argparse keywords, and the commands that
+# take it, each with its own keywords.  Where a command reads the flag only
+# under some choice, its ``unread`` rule returns why a parsed command line
+# does not read it, or None; _check_read refuses such a flag set away from
+# its default.
+_FLAGS = (
+    ("--maps", dict(required=True, help="feature map tensor file"), _on("gap")),
+    ("--features", dict(required=True, help="feature matrix file"),
+     _on("pretrain", "cluster", "baseline", "project", "run")),
+    ("--points", dict(required=True, help="feature matrix file"), _on("eval")),
+    ("--format", dict(choices=("auto", "binary", "csv"), default="auto",
+                      help="feature file format (default: by extension)"), _on(*_READERS)),
+    ("--header", dict(action="store_true", default=False,
+                      help="skip one header row when reading CSV features"),
+     _on(*_READERS, unread=_csv_features)),
+    ("--strategy", dict(choices=("pca-kmeans", "ae-kmeans"), required=True), _on("baseline")),
+    ("--method", dict(choices=("pca", "tsne"), required=True), _on("project")),
+    ("--ae-checkpoint", {}, {"cluster": dict(required=True),
+                             "baseline": dict(unread=_only("strategy", "ae-kmeans"))}),
+    ("--encoder-dims", dict(default="500,500,2000,10"), _on("pretrain", "run")),
+    ("--epochs", dict(type=int, default=200), _on("pretrain", "run")),
+    ("--k", dict(type=int, required=True), _on("cluster", "baseline", "run")),
+    ("--r", dict(type=int), {
+        "baseline": dict(default=200, help="PCA target dimension",
+                         unread=_only("strategy", "pca-kmeans")),
+        "project": dict(default=2, help="PCA output dimension", unread=_only("method", "pca")),
+    }),
+    ("--update-interval", dict(type=int, default=140), _on("cluster", "run")),
+    ("--delta", dict(type=float, default=0.001), _on("cluster", "run")),
+    ("--max-iterations", dict(type=int, default=20000), _on("cluster", "run")),
+    ("--restarts", dict(type=int, default=20), _on("cluster", "baseline", "run")),
+    ("--batch-size", dict(type=int, default=256), _on(*_TRAINING)),
+    ("--lr", dict(type=float, default=0.001), _on(*_TRAINING)),
+    ("--beta1", dict(type=float, default=0.9), _on(*_TRAINING)),
+    ("--beta2", dict(type=float, default=0.999), _on(*_TRAINING)),
+    ("--epsilon", dict(type=float, default=1e-8), _on(*_TRAINING)),
+    ("--perplexity", dict(type=float, default=30.0), {"project": dict(unread=_TSNE), "run": {}}),
+    ("--iterations", dict(type=int, default=1000), _on("project", unread=_TSNE)),
+    ("--learning-rate", dict(type=float, default=200.0), _on("project", unread=_TSNE)),
+    ("--early-exaggeration", dict(type=float, default=12.0), _on("project", unread=_TSNE)),
+    ("--tsne-iterations", dict(type=int, default=1000), _on("run")),
+    ("--fraction", dict(type=_fraction), {"project": dict(default=1.0), "run": dict(default=0.1)}),
+    ("--labels-manifest", {}, {**_on("eval", "baseline", "run"), "project": dict(unread=_sampled)}),
+    ("--label-column", {}, {
+        "eval": dict(choices=("style", "genre", "both"), default="both", unread=_labelled),
+        "project": dict(choices=("style", "genre"), default="style", unread=_labelled),
+    }),
+    ("--assignments", {}, {**_on("eval", "plot", required=True),
+                           "project": dict(help="stratify by cluster label", unread=_sampled)}),
+    ("--space-tag", dict(default="embedded"), _on("eval")),
+    ("--xy", dict(required=True), _on("plot")),
+    ("--width", dict(type=int, default=800), _on("plot")),
+    ("--height", dict(type=int, default=600), _on("plot")),
+    ("--radius", dict(type=float, default=3.0), _on("plot")),
+    ("--out", dict(required=True), {"gap": dict(help="pooled feature matrix (binary)"),
+                                    **_on("eval", "baseline", "project", "plot")}),
+    ("--out-checkpoint", dict(required=True), _on("pretrain", "cluster")),
+    ("--out-loss-curve", {}, _on("pretrain")),
+    ("--out-assignments", {}, {"cluster": dict(required=True), "baseline": {}}),
+    ("--out-history", {}, _on("cluster")),
+    ("--out-embedded", {}, _on("cluster")),
+    ("--outdir", dict(required=True), _on("run")),
+    ("--seed", dict(type=int, default=0, help="master seed (default 0)"), _on(*_COMMANDS)),
+    ("--threads", dict(type=int, help="cap numeric parallelism (default: DELIUS_THREADS or 1)"),
+     _on(*_COMMANDS)),
+)
+
+
+def _declared(command: str):
+    """Yield (option, argparse keywords, unread rule or None) for each flag ``command`` takes."""
+    for option, keywords, commands in _FLAGS:
+        if command in commands:
+            keywords = dict(keywords, **commands[command])
+            yield option, keywords, keywords.pop("unread", None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -650,97 +701,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deep embedded clustering pipeline for high-dimensional features",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gap", help="pool feature maps to per-channel means")
-    p.add_argument("--maps", required=True, help="feature map tensor file")
-    p.add_argument("--out", required=True, help="pooled feature matrix (binary)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap)
-
-    p = sub.add_parser("pretrain", help="train the reconstruction autoencoder")
-    _add_feature_input(p)
-    _add_pretraining(p)
-    _add_training(p)
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--out-loss-curve", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pretrain)
-
-    p = sub.add_parser("cluster", help="jointly optimise embedding and centroids")
-    _add_feature_input(p)
-    p.add_argument("--ae-checkpoint", required=True)
-    _add_clustering(p)
-    _add_training(p)
-    p.add_argument("--out-assignments", required=True)
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--out-history", default=None)
-    p.add_argument("--out-embedded", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("eval", help="score a clustering")
-    _add_feature_input(p, flag="--points")
-    p.add_argument("--assignments", required=True)
-    p.add_argument("--labels-manifest", default=None)
-    p.add_argument("--label-column", choices=("style", "genre", "both"), default="both")
-    p.add_argument("--space-tag", default="embedded")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("baseline", help="run a reference clustering strategy")
-    p.add_argument("--strategy", choices=("pca-kmeans", "ae-kmeans"), required=True)
-    _add_feature_input(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=200, help="PCA target dimension")
-    p.add_argument("--ae-checkpoint", default=None)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--labels-manifest", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-assignments", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("project", help="project features to a low dimension")
-    _add_feature_input(p)
-    p.add_argument("--method", choices=("pca", "tsne"), required=True)
-    p.add_argument("--r", type=int, default=2, help="PCA output dimension")
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--learning-rate", type=float, default=200.0)
-    p.add_argument("--early-exaggeration", type=float, default=12.0)
-    p.add_argument("--fraction", type=_fraction, default=1.0)
-    p.add_argument("--labels-manifest", default=None)
-    p.add_argument("--label-column", choices=("style", "genre"), default="style")
-    p.add_argument("--assignments", default=None, help="stratify by cluster label")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("plot", help="render a projection as an SVG scatter")
-    p.add_argument("--xy", required=True)
-    p.add_argument("--assignments", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=600)
-    p.add_argument("--radius", type=float, default=3.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_plot)
-
-    p = sub.add_parser("run", help="full pipeline: pretrain, cluster, eval, project, plot")
-    _add_feature_input(p)
-    p.add_argument("--labels-manifest", default=None)
-    _add_pretraining(p)
-    _add_clustering(p)
-    _add_training(p)
-    p.add_argument("--fraction", type=_fraction, default=0.1)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--tsne-iterations", type=int, default=1000)
-    p.add_argument("--outdir", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_run)
-
+    for command, (handler, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for option, keywords, _ in _declared(command):
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _check_read(args: argparse.Namespace) -> None:
+    """Refuse, before any input is read, a flag set away from its default
+    that this command line does not read; an explicit default is accepted."""
+    from .errors import ConfigError
+
+    for option, keywords, unread in _declared(args.command):
+        value = getattr(args, option[2:].replace("-", "_"))
+        if unread and value != keywords.get("default") and (why := unread(args)):
+            raise ConfigError(f"{option} {why}")
 
 
 def _resolve_threads(args) -> int:
@@ -776,7 +753,7 @@ def main(argv=None) -> int:
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(threads)
         _check_outputs(args)
-        _check_header(args)
+        _check_read(args)
         started = time.monotonic()
         args.func(args)
         _write_manifest(_outputs(args)["manifest"], args, started)

@@ -1,9 +1,12 @@
 """Command line behaviour: artifacts, determinism, exit codes."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -626,6 +629,20 @@ def test_run_rejects_bad_k_before_work(tmp_path, workspace, capsys):
     assert not outdir.exists()
 
 
+def test_run_checks_k_against_rows_in_load_stage(workspace, tmp_path, capsys):
+    # The cluster stage would find it too, but only after pretraining had
+    # run and written its artifacts.
+    outdir = tmp_path / "out"
+    n = workspace["fm"].n
+    argv = ["run", "--features", workspace["features"], "--k", str(n + 1), "--outdir", str(outdir),
+            "--encoder-dims", ENCODER, "--epochs", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"delius run: load stage failed: k = {n + 1} exceeds the number of "
+                          f"points n = {n}")
+    assert list(outdir.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error surfaces
 
@@ -801,8 +818,9 @@ def test_numeric_blowup_exit_4(tmp_path, capsys):
     ("run", ["--epochs", "0"], 2, "epochs must be at least 1"),
     ("run", ["--encoder-dims", "4,x"], 2, "cannot parse layer sizes from '4,x'"),
     ("project", ["--method", "pca", "--perplexity", "inf", "--iterations", "0"], 2,
-     "perplexity must be finite"),
-    ("project", ["--method", "pca", "--iterations", "0"], 2, "iterations must be at least 1"),
+     "--perplexity is read only by the tsne method"),
+    ("project", ["--method", "pca", "--iterations", "0"], 2,
+     "--perplexity is read only by the tsne method"),
     ("baseline", ["--k", "0"], 2, "k must be at least 1, got 0"),
     ("baseline", ["--restarts", "0"], 2, "restarts must be at least 1, got 0"),
     ("baseline", ["--r", "0"], 2, "r must be at least 1, got 0"),
@@ -1208,6 +1226,13 @@ def test_unknown_flag_exit_2(capsys):
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "delius" in capsys.readouterr().out
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert len(commands) == 8
+    for command, parser in commands.items():
+        assert main([command, "--help"]) == 0, command
+        listed = set(re.findall(r"--?[\w-]+", capsys.readouterr().out))
+        options = {option for action in parser._actions for option in action.option_strings}
+        assert options <= listed, command
 
 
 def test_bad_threads_env_exit_2(monkeypatch, tmp_path, capsys):
@@ -1488,6 +1513,142 @@ def test_manifest_inputs_are_the_input_flags_files(workspace, tmp_path):
         record = json.loads(open(manifest).read())
         assert record["command"] == argv[0]
         assert record["inputs"] == {p: _checksum(p) for p in inputs}, argv[0]
+
+
+# Every flag of every command, under each --method or --strategy value, as
+# (command, variant, option); all are taken from the parser itself.
+_ALL_FLAG_CASES = [
+    (command, variant, action.option_strings[0])
+    for command in sorted(SURFACE)
+    for variant in next((a.choices for a in _subparser(command)._actions
+                         if a.dest in ("method", "strategy")), (None,))
+    for action in _subparser(command)._actions
+    if action.option_strings and action.dest != "help"
+]
+
+# The flags whose effect the flag test leaves to other tests, each with its reason.
+_PATH = "a file path: the _OUTPUT_CASES tests and the manifest-inputs test cover it"
+_EXEMPT = {
+    **dict.fromkeys(("--maps", "--features", "--points", "--xy", "--ae-checkpoint",
+                     "--assignments", "--labels-manifest", "--out", "--out-checkpoint",
+                     "--out-loss-curve", "--out-assignments", "--out-history", "--out-embedded",
+                     "--outdir"), _PATH),
+    "--seed": "every command takes it, drawing or not (stage-chain gives it to eval and plot); "
+              "test_seed_changes_pretrain_output shows it taking effect",
+    "--threads": "it caps BLAS threads only in a process that has not loaded numpy yet; "
+                 "test_threads_flag_overrides_env shows it taking effect",
+    "--format": "a value other than auto either names the format the file's name gives "
+                "or makes the read fail",
+}
+
+# A valid value of each other flag that differs from its default and from
+# the value on its base command line (a store_true flag takes none, and a
+# flag with choices takes its first choice other than the default).
+_FLAG_VALUES = {
+    "--encoder-dims": "4,2", "--epochs": "3", "--batch-size": "16", "--lr": "0.002",
+    "--beta1": "0.8", "--beta2": "0.99", "--epsilon": "1e-6", "--k": "2",
+    "--update-interval": "7", "--delta": "0.5", "--max-iterations": "5", "--restarts": "1",
+    "--r": "3", "--perplexity": "5", "--iterations": "40", "--learning-rate": "100",
+    "--early-exaggeration": "4", "--tsne-iterations": "20", "--fraction": "0.4",
+    "--space-tag": "pca", "--width": "400", "--height": "300", "--radius": "2",
+}
+
+
+def _base_argv(w, command, variant, out):
+    """A small command line on ``w``'s files that the command accepts, writing into ``out``."""
+    training = ["--encoder-dims", ENCODER, "--epochs", "2", "--batch-size", "32"]
+    clustering = ["--k", str(K), "--update-interval", "10", "--max-iterations", "40",
+                  "--batch-size", "32"]
+    return [command, *{
+        "pretrain": ["--features", w["features"], "--out-checkpoint", f"{out}/ae.delc",
+                     *training],
+        "cluster": ["--features", w["features"], "--ae-checkpoint", w["ae"], *clustering,
+                    "--out-assignments", f"{out}/a.csv", "--out-checkpoint", f"{out}/m.delc"],
+        "eval": ["--points", w["embedded"], "--assignments", w["assignments"],
+                 "--out", f"{out}/r.json"],
+        "baseline": ["--strategy", variant, "--features", w["features"], "--k", str(K),
+                     "--out", f"{out}/b.json",
+                     *(["--r", "5"] if variant == "pca-kmeans" else ["--ae-checkpoint", w["ae"]])],
+        "project": ["--features", w["features"], "--method", variant, "--out", f"{out}/xy.csv",
+                    *(["--perplexity", "4", "--iterations", "30"] if variant == "tsne" else [])],
+        "plot": ["--xy", w["xy"], "--assignments", w["assignments"], "--out", f"{out}/s.svg"],
+        "run": ["--features", w["features"], *training, *clustering, "--fraction", "0.5",
+                "--perplexity", "4", "--tsne-iterations", "10", "--outdir", f"{out}/run"],
+    }[command]]
+
+
+@pytest.fixture(scope="module")
+def flag_runs(tmp_path_factory):
+    """Run a command line in a new directory; return its exit code, its
+    stderr and its artifacts, manifests left out.  Results are kept, so each
+    base command line runs once.
+
+    The clusters overlap, so refining moves labels and k-means restarts end
+    apart: on the workspace's blobs, --delta and --restarts change no byte."""
+    root = tmp_path_factory.mktemp("flags")
+    w = {key: str(root / name) for key, name in (("features", "f.delf"), ("ae", "ae.delc"),
+                                                 ("assignments", "a.csv"),
+                                                 ("embedded", "e.delf"), ("xy", "xy.csv"))}
+    centres = np.repeat(2.0 * np.eye(K, DIM), N_PER, axis=0)
+    write_features(FeatureMatrix.from_array(Rng(41).normal(centres.shape) + centres),
+                   w["features"])
+    for argv in (
+        ["pretrain", "--features", w["features"], "--out-checkpoint", w["ae"],
+         "--encoder-dims", ENCODER, "--epochs", "2"],
+        ["cluster", "--features", w["features"], "--ae-checkpoint", w["ae"], "--k", str(K),
+         "--max-iterations", "40", "--out-assignments", w["assignments"],
+         "--out-checkpoint", str(root / "m.delc"), "--out-embedded", w["embedded"]],
+        ["project", "--features", w["embedded"], "--method", "pca", "--out", w["xy"]],
+    ):
+        assert main(argv) == 0
+    done = {}
+
+    def run(command, variant, extra=()):
+        key = (command, variant, *extra)
+        if key not in done:
+            out = root / f"case{len(done)}"
+            out.mkdir()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(_base_argv(w, command, variant, out) + list(extra))
+            files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                     if p.is_file() and not p.name.endswith("manifest.json")}
+            done[key] = code, err.getvalue(), files
+        return done[key]
+
+    return run
+
+
+def test_flag_exemptions_name_flags_the_parser_has():
+    assert set(_EXEMPT) <= {option for _, _, option in _ALL_FLAG_CASES}
+
+
+@pytest.mark.parametrize("command, variant, option",
+                         [case for case in _ALL_FLAG_CASES if case[2] not in _EXEMPT])
+def test_every_flag_takes_effect_or_is_refused(flag_runs, command, variant, option):
+    # A flag set away from its default either changes an artifact other
+    # than the manifest, whose arguments change with any flag, or exits 2
+    # before the load stage, naming the flag and writing nothing.
+    code, _, base = flag_runs(command, variant)
+    assert code == 0 and base
+    action = next(a for a in _subparser(command)._actions if option in a.option_strings)
+    if action.dest in ("method", "strategy"):  # the other variant's base command line
+        code, err, files = flag_runs(command, next(c for c in action.choices if c != variant))
+    else:
+        value = ([] if action.nargs == 0
+                 else [next(c for c in action.choices if c != action.default)] if action.choices
+                 else [_FLAG_VALUES[option]])
+        code, err, files = flag_runs(command, variant, (option, *value))
+    if code == 2:
+        assert err.startswith(f"delius {command}: {option} ") and not files, err
+    else:
+        assert code == 0, err
+        assert files != base
+
+
+def test_explicit_default_of_an_unread_flag_is_accepted(flag_runs):
+    code, err, files = flag_runs("project", "tsne", ("--r", "2"))
+    assert code == 0, err
+    assert files == flag_runs("project", "tsne")[2]
 
 
 # ---------------------------------------------------------------------------
