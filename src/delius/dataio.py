@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, ShapeError
 
 _MAGIC_MATRIX = b"DELF"
 _MAGIC_MAPS = b"DELM"
@@ -50,16 +50,25 @@ _DTYPE_NAMES = {"f32": 0, "f64": 1}
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    values.setflags(write=False)
+    return values
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
+def checked_array(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a C-ordered float64 array of rank ``ndim``.
+
+    The one rule every input array of points or features meets: another
+    rank is a ShapeError, and a non-finite entry a DataError naming its
+    index.  An array already C-ordered float64 is returned, not copied.
+    """
+    values = np.asarray(values, dtype=np.float64, order="C")
+    if values.ndim != ndim:
+        raise ShapeError(f"{what} must be {ndim}-d, got shape {values.shape}")
     if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values))[0]
         pos = ", ".join(str(int(i)) for i in bad)
         raise DataError(f"{what} contains a non-finite value at ({pos})")
+    return values
 
 
 def default_ids(n: int) -> tuple[str, ...]:
@@ -90,13 +99,10 @@ class FeatureMatrix:
     ids: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DataError(f"feature matrix must be 2-d, got shape {values.shape}")
+        values = checked_array(self.values, 2, "feature matrix")
         n, d = values.shape
         if n < 1 or d < 1:
             raise DataError(f"feature matrix must be at least 1x1, got {n}x{d}")
-        _check_finite(values, "feature matrix")
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "ids", _check_ids(self.ids, n))
 
@@ -124,13 +130,10 @@ class FeatureMapBlock:
     ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 3:
-            raise DataError(f"feature map block must be 3-d, got shape {values.shape}")
+        values = checked_array(self.values, 3, "feature map block")
         n = values.shape[0]
         if n < 1:
             raise DataError("feature map block must hold at least one row")
-        _check_finite(values, "feature map block")
         object.__setattr__(self, "values", _freeze(values))
         ids = self.ids if self.ids else default_ids(n)
         object.__setattr__(self, "ids", _check_ids(ids, n))
@@ -613,10 +616,9 @@ class ClusterAssignments:
             raise DataError("hard labels must be non-negative")
         q = self.q
         if q is not None:
-            q = np.asarray(q, dtype=np.float64)
-            if q.ndim != 2 or q.shape[0] != n:
+            q = checked_array(q, 2, "soft assignments")
+            if q.shape[0] != n:
                 raise DataError(f"soft assignments must be (n, k), got {q.shape}")
-            _check_finite(q, "soft assignments")
             if q.min() < 0:
                 raise DataError("soft assignments must be non-negative")
             sums = q.sum(axis=1)
@@ -708,9 +710,7 @@ def read_xy(path: str) -> tuple[list[str], np.ndarray]:
     if not ids:
         raise FormatError(f"{path}: no data rows")
     _check_ids(ids, len(ids))
-    coords = np.array(coords, dtype=np.float64)
-    _check_finite(coords, "projection coordinates")
-    return ids, coords
+    return ids, checked_array(coords, 2, "projection coordinates")
 
 
 # ---------------------------------------------------------------------------

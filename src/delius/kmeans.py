@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import checked_array
 from .distance import nearest_centres, sq_distances
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .rng import Rng
 
 DEFAULT_RESTARTS = 20
@@ -102,11 +103,7 @@ def kmeans_fit(
     restarts: int = DEFAULT_RESTARTS,
 ) -> KmeansResult:
     """Best of ``restarts`` seeded Lloyd runs by inertia."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise DataError(f"points must be 2-d, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise DataError("points contain non-finite values")
+    points = checked_array(points, 2, "points")
     n = points.shape[0]
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")

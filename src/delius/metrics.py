@@ -18,21 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import checked_array
 from .distance import block_rows, sq_distance_blocks
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 def _check_points_labels(points: np.ndarray, labels: np.ndarray):
-    points = np.asarray(points, dtype=np.float64)
+    points = checked_array(points, 2, "points")
     labels = np.asarray(labels)
-    if points.ndim != 2:
-        raise ShapeError(f"points must be 2-d, got shape {points.shape}")
     if labels.shape != (points.shape[0],):
         raise ShapeError(
             f"labels shape {labels.shape} does not match {points.shape[0]} points"
         )
-    if not np.isfinite(points).all():
-        raise DataError("points contain non-finite values")
     return points, labels.astype(np.int64)
 
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import checked_array
 from .distance import block_rows, sq_distance_blocks
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .rng import Rng
 
 _ENTROPY_TOL = 1e-5
@@ -63,17 +64,13 @@ def pca_fit(points: np.ndarray, r: int) -> PcaModel:
     data directly, and the components may differ from the thin SVD's in
     their last bits.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ShapeError(f"points must be 2-d, got shape {points.shape}")
+    points = checked_array(points, 2, "points")
     n, d = points.shape
     if n < 2:
         raise ConfigError(f"pca needs at least 2 rows, got {n}")
     limit = min(n - 1, d)
     if not 1 <= r <= limit:
         raise ConfigError(f"r must lie in [1, {limit}] for {n}x{d} data, got {r}")
-    if not np.isfinite(points).all():
-        raise DataError("points contain non-finite values")
     mean = points.mean(axis=0)
     upper = np.linalg.qr(points - mean, mode="r")
     _, _, vt = np.linalg.svd(upper, full_matrices=False)
@@ -276,11 +273,7 @@ def _tsne_gradient(
 
 def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
     """Exact t-SNE layout in 2-d; the perplexity must lie below (n - 1) / 3."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ShapeError(f"points must be 2-d, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise DataError("points contain non-finite values")
+    points = checked_array(points, 2, "points")
     n = points.shape[0]
     if n < 5:
         raise ConfigError(f"t-SNE needs at least 5 rows, got {n}")

@@ -14,11 +14,11 @@ import delius
 from delius.dataio import (
     ClusterAssignments,
     FeatureMatrix,
-    _check_finite,
     _check_ids,
     _check_width,
     _csv_rows,
     _parse_cells,
+    checked_array,
 )
 from delius.errors import FormatError
 from delius.projection import PcaModel
@@ -239,7 +239,7 @@ def xy_by_cell(path: str) -> tuple[list[str], np.ndarray]:
         raise FormatError(f"{path}: no data rows")
     _check_ids(ids, len(ids))
     coords = np.array(coords, dtype=np.float64)
-    _check_finite(coords, "projection coordinates")
+    checked_array(coords, 2, "projection coordinates")
     return ids, coords
 
 

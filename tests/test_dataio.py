@@ -13,6 +13,7 @@ from delius.dataio import (
     FeatureMapBlock,
     FeatureMatrix,
     LabelManifest,
+    default_ids,
     global_average_pool,
     labels_for,
     read_assignments,
@@ -27,7 +28,11 @@ from delius.dataio import (
     write_label_manifest,
     write_xy,
 )
-from delius.errors import ConfigError, DataError, FormatError
+from delius.errors import ConfigError, DataError, FormatError, ShapeError
+from delius.kmeans import kmeans_fit
+from delius.metrics import calinski_harabasz, evaluate, silhouette
+from delius.projection import TsneConfig, pca_fit, tsne_embed
+from delius.rng import Rng
 from oracles import (
     traced_peak,
     write_assignments_by_cell,
@@ -84,6 +89,38 @@ def test_matrix_rejects_multiline_id():
 def test_default_ids_are_row_indices():
     m = _matrix(np.zeros((3, 2)))
     assert m.ids == ("0", "1", "2")
+
+
+_LABELS = np.arange(8) % 2
+
+# Every entry point that takes an array of points or features, with its rank.
+_INPUT_ARRAYS = {
+    "kmeans_fit": (2, lambda v: kmeans_fit(v, 2, Rng(0))),
+    "silhouette": (2, lambda v: silhouette(v, _LABELS)),
+    "calinski_harabasz": (2, lambda v: calinski_harabasz(v, _LABELS)),
+    "evaluate": (2, lambda v: evaluate(v, _LABELS, "embedded")),
+    "pca_fit": (2, lambda v: pca_fit(v, 1)),
+    "tsne_embed": (2, lambda v: tsne_embed(v, TsneConfig(perplexity=2.0, iterations=1))),
+    "FeatureMatrix": (2, lambda v: FeatureMatrix.from_array(v)),
+    "FeatureMapBlock": (3, lambda v: FeatureMapBlock(values=v)),
+    "ClusterAssignments.q": (2, lambda v: ClusterAssignments(default_ids(8), _LABELS, q=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_INPUT_ARRAYS))
+def test_input_arrays_share_one_rank_and_finite_rule(site):
+    ndim, call = _INPUT_ARRAYS[site]
+    values = np.random.default_rng(3).uniform(0.1, 1.0, size=(8, 3, 2)[:ndim])
+    values /= values.sum(axis=1, keepdims=True)  # rows of soft assignments sum to 1
+    call(values.copy())
+    index = (5, 2, 1)[:ndim]
+    bad = values.copy()
+    bad[index] = np.nan
+    where = ", ".join(map(str, index))
+    with pytest.raises(DataError, match=re.escape(f"contains a non-finite value at ({where})")):
+        call(bad)
+    with pytest.raises(ShapeError, match=f"must be {ndim}-d, got shape"):
+        call(values[None])
 
 
 # ---------------------------------------------------------------------------
