@@ -29,6 +29,9 @@ Conventions shared by every subcommand:
   directory, two outputs naming one file, an output naming an input
   file or its id sidecar, or a binary output with a ``.csv`` name exits
   2 before any work;
+* ``run`` checks at the end of its load stage what its later stages
+  would find only after pretraining: ``--k`` against the rows, and the
+  most rows its t-SNE sample can hold against ``--perplexity``;
 * a flag set away from its default that the command line does not read
   (``--r`` off PCA, ``project --method pca --perplexity 5``, ...) exits
   2 before any work too; an explicit default is accepted, and ``--seed``
@@ -160,20 +163,16 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise ConfigError(f"{other} and {label} both name {path}; give each its own file")
 
 
-class _Stage:
-    """Names the pipeline stage an error escaped from."""
+@contextlib.contextmanager
+def _stage(name: str):
+    """Record ``name`` as the stage of a package error escaping the block."""
+    from .errors import DeliusError
 
-    def __init__(self):
-        self.name = None
-
-    @contextlib.contextmanager
-    def __call__(self, name: str):
-        self.name = name
+    try:
         yield
-        self.name = None
-
-
-_stage = _Stage()
+    except DeliusError as exc:
+        exc.stage = name
+        raise
 
 
 @contextlib.contextmanager
@@ -530,7 +529,8 @@ def _cmd_plot(args) -> None:
 
 def _cmd_run(args) -> None:
     from .errors import ConfigError
-    from .projection import TsneConfig
+    from .kmeans import check_k
+    from .projection import TsneConfig, check_tsne_size
 
     config = _dec_config(args)
     spec = _autoencoder_spec(args, config.optimizer)
@@ -544,8 +544,14 @@ def _cmd_run(args) -> None:
     with _stage("load"):
         features = _read_features(args, args.features)
         manifest = _read_labels(args)
-        if args.k > features.n:  # the cluster stage would find it only after pretraining
-            raise ConfigError(f"k = {args.k} exceeds the number of points n = {features.n}")
+        # The cluster and project stages would find these only after pretraining.
+        check_k(args.k, features.n)
+        # Each of at most k strata draws round(fraction * size) rows, half up.
+        rows = min(features.n, math.floor(args.fraction * features.n + args.k / 2))
+        try:
+            check_tsne_size(rows, tsne.perplexity)
+        except ConfigError as exc:
+            raise ConfigError(f"the t-SNE sample holds at most {rows} rows: {exc}") from None
     with _stage("pretrain"):
         ckpt = _pretrain(args, spec, features, out["checkpoint"], out["loss_curve"])
     with _stage("cluster"):
@@ -747,7 +753,6 @@ def main(argv=None) -> int:
 
     from .errors import DeliusError
 
-    _stage.name = None  # an earlier call in this process may have failed inside a stage
     try:
         threads = _resolve_threads(args)
         for var in _THREAD_ENV_VARS:
@@ -758,7 +763,7 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(_outputs(args)["manifest"], args, started)
     except DeliusError as exc:
-        stage = f"{_stage.name} stage failed: " if _stage.name else ""
+        stage = f"{exc.stage} stage failed: " if exc.stage else ""
         print(f"delius {args.command}: {stage}{exc}", file=sys.stderr)
         return exc.exit_code
     return 0

@@ -11,6 +11,7 @@ class DeliusError(Exception):
     """Base class for all package errors."""
 
     exit_code = 1
+    stage = None  # the command line's pipeline stage the error escaped, if any
 
 
 class ConfigError(DeliusError):

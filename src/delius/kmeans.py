@@ -96,6 +96,14 @@ def _lloyd(points: np.ndarray, k: int, rng: Rng):
     return centroids, labels, inertia, n_iter
 
 
+def check_k(k: int, n: int) -> None:
+    """Refuse a cluster count that ``n`` points cannot hold."""
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
+    if k > n:
+        raise ConfigError(f"k = {k} exceeds the number of points n = {n}")
+
+
 def kmeans_fit(
     points: np.ndarray,
     k: int,
@@ -104,11 +112,7 @@ def kmeans_fit(
 ) -> KmeansResult:
     """Best of ``restarts`` seeded Lloyd runs by inertia."""
     points = checked_array(points, 2, "points")
-    n = points.shape[0]
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if k > n:
-        raise ConfigError(f"k = {k} exceeds the number of points n = {n}")
+    check_k(k, points.shape[0])
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
     seeds = [rng.next_u64() for _ in range(restarts)]

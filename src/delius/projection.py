@@ -271,16 +271,22 @@ def _tsne_gradient(
     return grad, kl
 
 
-def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
-    """Exact t-SNE layout in 2-d; the perplexity must lie below (n - 1) / 3."""
-    points = checked_array(points, 2, "points")
-    n = points.shape[0]
+def check_tsne_size(n: int, perplexity: float) -> None:
+    """Refuse a t-SNE of ``n`` rows at ``perplexity``: it needs at least 5
+    rows and a perplexity below (n - 1) / 3."""
     if n < 5:
         raise ConfigError(f"t-SNE needs at least 5 rows, got {n}")
-    if not config.perplexity < (n - 1) / 3.0:
+    if not perplexity < (n - 1) / 3.0:
         raise ConfigError(
-            f"perplexity must lie in (1, {(n - 1) / 3.0:g}) for n = {n}, got {config.perplexity}"
+            f"perplexity must lie in (1, {(n - 1) / 3.0:g}) for n = {n}, got {perplexity}"
         )
+
+
+def tsne_embed(points: np.ndarray, config: TsneConfig) -> np.ndarray:
+    """Exact t-SNE layout in 2-d; ``check_tsne_size`` gives the rows it needs."""
+    points = checked_array(points, 2, "points")
+    n = points.shape[0]
+    check_tsne_size(n, config.perplexity)
     p = joint_affinities(points, config.perplexity)
     p *= config.early_exaggeration
     exaggerated = True

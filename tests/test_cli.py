@@ -643,6 +643,21 @@ def test_run_checks_k_against_rows_in_load_stage(workspace, tmp_path, capsys):
     assert list(outdir.iterdir()) == []
 
 
+def test_run_checks_tsne_sample_in_load_stage(workspace, tmp_path, capsys):
+    # --fraction 0.1 of 90 rows in 3 clusters gives t-SNE at most 10 rows, too
+    # few for the default perplexity 30; the project stage would find it only
+    # after pretraining, clustering and eval.
+    outdir = tmp_path / "out"
+    argv = ["run", "--features", workspace["features"], "--k", str(K), "--outdir", str(outdir),
+            "--encoder-dims", ENCODER, "--epochs", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "delius run: load stage failed: the t-SNE sample holds at most 10 rows: "
+        "perplexity must lie in (1, 3) for n = 10, got 30.0"
+    )
+    assert list(outdir.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error surfaces
 
@@ -1205,6 +1220,10 @@ def test_error_inside_a_stage_names_the_stage(tmp_path, capsys):
             "--out", str(tmp_path / "xy.csv")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("delius project: load stage failed: ")
+    # The stage belongs to that error: a later call failing before any stage names none.
+    argv = ["gap", "--maps", str(points), "--out", str(tmp_path / "missing" / "y.delf")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("delius gap: --out: cannot write ")
 
 
 def test_unreadable_id_sidecar_exit_2(tmp_path):
